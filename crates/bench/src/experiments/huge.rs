@@ -224,7 +224,7 @@ fn bisect_huge(g: &Graph, seed: u64, threads: usize) -> HugeOutcome {
     // search one more shot from the rebalanced state. The cache is
     // exact for `current`, so rebalancing rides its O(1) gains and
     // keeps it exact for the boundary polish.
-    rebalance_with_cache(&gr, &mut current, ws.gain_cache_mut());
+    rebalance_with_cache(&gr, &mut current, &mut ws);
     let (refined, r) = pfm.refine_projected_counted(&gr, current, &mut dummy, &mut ws);
     rounds += r;
     // Quality backstop: one full-range sweep catches any interior

@@ -247,7 +247,7 @@ fn bisect_huge_netlist(nl: &Netlist, seed: u64, threads: usize) -> HugeNetlistOu
     // search one more shot from the rebalanced state. The cache is
     // exact for `current`, so rebalancing rides its O(1) gains and
     // keeps it exact for the final boundary polish.
-    rebalance_with_cache(&nlr, &mut current, &[], ws.netlist_cache_mut());
+    rebalance_with_cache(&nlr, &mut current, &[], &mut ws);
     let (refined, r) = pnfm.refine_projected_counted(&nlr, &[], current, &mut dummy, &mut ws);
     rounds += r;
     let refine_time_s = refine_begin.elapsed().as_secs_f64();

@@ -27,7 +27,7 @@ use bisect_graph::Graph;
 use rand::RngCore;
 
 use crate::bisector::{Bisector, Refiner};
-use crate::partition::{Bisection, Side};
+use crate::partition::{fm_tolerances, Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -94,17 +94,7 @@ impl FiducciaMattheyses {
         if n < 2 {
             return 0;
         }
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        // During the pass a single move may overshoot balance by one
-        // vertex: moving weight w changes the side *difference* by 2w,
-        // so the classic FM criterion allows a difference up to twice
-        // the largest vertex weight.
-        let pass_tol = base_tol.max(2 * max_weight);
+        let (base_tol, pass_tol) = fm_tolerances(g);
 
         let max_wdeg = g
             .vertices()
@@ -324,13 +314,7 @@ impl BoundaryFm {
             return 0;
         }
         // Same tolerances as the full-scan pass (see pass_in).
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
+        let (base_tol, pass_tol) = fm_tolerances(g);
         let max_wdeg = g
             .vertices()
             .map(|v| g.weighted_degree(v))

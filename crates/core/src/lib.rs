@@ -90,6 +90,7 @@ pub mod netlist;
 pub mod par_fm;
 pub mod partition;
 pub mod pipeline;
+pub(crate) mod rebalance;
 pub mod sa;
 pub mod seed;
 pub mod spectral;

@@ -20,7 +20,7 @@ use crate::partition::Side;
 use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistPipeline, NetlistRefiner};
+use super::{fm_tolerances, gain_term, NetlistBisection, NetlistPipeline, NetlistRefiner};
 
 /// Fiduccia-Mattheyses on netlists.
 ///
@@ -318,18 +318,7 @@ impl NetlistFm {
 /// `(nl, p)`.
 fn prepare(nl: &Netlist, p: &NetlistBisection, ws: &mut Workspace) -> (u64, u64) {
     let n = nl.num_cells();
-    let max_weight = nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(1);
-    let unit = nl.cells().all(|c| nl.cell_weight(c) == 1);
-    let base_tol = if unit {
-        nl.total_cell_weight() % 2
-    } else {
-        max_weight
-    };
-    // During the pass a single move may overshoot balance by one cell:
-    // moving weight w changes the side *difference* by 2w, so the
-    // classic FM criterion allows a difference up to twice the largest
-    // cell weight.
-    let pass_tol = base_tol.max(2 * max_weight);
+    let (base_tol, pass_tol) = fm_tolerances(nl);
     // A cell's gain is bounded by its weighted net degree: each
     // incident net contributes a value in [−w(net), w(net)].
     let max_gain = nl

@@ -123,6 +123,31 @@ impl NetlistGainCache {
     /// net's pins are walked only when some delta (or the net's cut
     /// state) actually changes.
     pub fn record_move(&mut self, nl: &Netlist, p: &NetlistBisection, c: VertexId) {
+        self.record_move_impl(nl, p, c, |_| {});
+    }
+
+    /// As [`NetlistGainCache::record_move`], also appending to
+    /// `changed` every other cell whose gain the move may have changed
+    /// (possibly more than once).
+    pub(crate) fn record_move_collecting(
+        &mut self,
+        nl: &Netlist,
+        p: &NetlistBisection,
+        c: VertexId,
+        changed: &mut Vec<VertexId>,
+    ) {
+        self.record_move_impl(nl, p, c, |q| changed.push(q));
+    }
+
+    /// Body of the two `record_move` flavors; `on_change` sees each pin
+    /// walked on an affected net, after its gain update.
+    fn record_move_impl(
+        &mut self,
+        nl: &Netlist,
+        p: &NetlistBisection,
+        c: VertexId,
+        mut on_change: impl FnMut(VertexId),
+    ) {
         let ci = c as usize;
         let s = p.side(c).index();
         let mut new_gain = 0i64;
@@ -152,6 +177,7 @@ impl NetlistGainCache {
                 }
                 let qi = q as usize;
                 self.gains[qi] += if p.side(q).index() == s { ds } else { dt };
+                on_change(q);
                 match (was_cut, now_cut) {
                     (false, true) => {
                         if self.cut_nets[qi] == 0 {

@@ -33,6 +33,7 @@ use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
 
 use crate::partition::{Side, SideLengthError};
+use crate::rebalance::Moves;
 use crate::workspace::Workspace;
 
 mod coarsen;
@@ -205,13 +206,7 @@ impl NetlistBisection {
     /// Whether side weights differ by at most the parity remainder
     /// (unit weights) or the largest cell weight.
     pub fn is_balanced(&self, nl: &Netlist) -> bool {
-        let unit = nl.cells().all(|c| nl.cell_weight(c) == 1);
-        let tolerance = if unit {
-            nl.total_cell_weight() % 2
-        } else {
-            nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(0)
-        };
-        self.weight_imbalance() <= tolerance
+        self.weight_imbalance() <= balance_tolerance(nl)
     }
 
     /// Overwrites `self` with `other`, reusing existing capacity — the
@@ -336,66 +331,121 @@ pub trait NetlistRefiner {
     }
 }
 
-/// Moves minimum-damage cells from the heavier side until the
-/// bisection is balanced — the netlist analogue of
-/// [`crate::partition::rebalance`], used after projecting a coarse
-/// bisection.
-pub fn rebalance(nl: &Netlist, p: &mut NetlistBisection) {
-    rebalance_fixed(nl, p, &[]);
-}
-
-/// As [`rebalance`], but cells flagged in `fixed` are never moved. An
-/// empty slice fixes nothing; a short slice treats missing entries as
-/// movable.
-pub fn rebalance_fixed(nl: &Netlist, p: &mut NetlistBisection, fixed: &[bool]) {
-    let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
-    while !p.is_balanced(nl) {
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        let imbalance = p.weight_imbalance();
-        let candidate = nl
-            .cells()
-            .filter(|&c| p.side(c) == heavy && !is_fixed(c) && nl.cell_weight(c) < imbalance)
-            .max_by_key(|&c| (p.gain(nl, c), std::cmp::Reverse(c)));
-        match candidate {
-            Some(c) => p.move_cell(nl, c),
-            None => return, // every movable heavy cell is at least the imbalance
-        }
+/// The weight imbalance [`NetlistBisection::is_balanced`] accepts: the
+/// parity remainder for unit cell weights, the largest cell weight
+/// otherwise. `O(1)`.
+pub(crate) fn balance_tolerance(nl: &Netlist) -> VertexWeight {
+    if nl.has_unit_cell_weights() {
+        nl.total_cell_weight() % 2
+    } else {
+        nl.max_cell_weight()
     }
 }
 
-/// As [`rebalance_fixed`], but reads gains from — and keeps exact — a
-/// [`NetlistGainCache`] that is exact for `(nl, p)` on entry: the
-/// netlist analogue of the graph-side cache-maintaining rebalance used
-/// between projected-cache refinement levels.
+/// The netlist FM balance tolerances `(base, pass)`, as
+/// [`crate::partition`]'s graph-side ones: `base` is
+/// [`balance_tolerance`], and `pass` lets one move overshoot balance
+/// by one cell (twice the largest cell weight).
+pub(crate) fn fm_tolerances(nl: &Netlist) -> (VertexWeight, VertexWeight) {
+    let base = balance_tolerance(nl);
+    (base, base.max(2 * nl.max_cell_weight().max(1)))
+}
+
+/// Moves minimum-damage cells from the heavier side until the
+/// bisection is balanced — the netlist analogue of
+/// [`crate::partition::rebalance`], used after projecting a coarse
+/// bisection. Each step moves the best-gain heavy-side cell among
+/// those lighter than the imbalance (ties toward the lower id); the
+/// rebalance stops early if there is none. Allocates its heap; see
+/// [`rebalance_fixed`] for the workspace-backed form.
+pub fn rebalance(nl: &Netlist, p: &mut NetlistBisection) {
+    rebalance_fixed(nl, p, &[], &mut Workspace::new());
+}
+
+/// As [`rebalance`], with the heap drawn from `ws`, but cells flagged in
+/// `fixed` are never moved. An empty slice fixes nothing; a short
+/// slice treats missing entries as movable. Leaves the workspace gain
+/// cache untouched.
+pub fn rebalance_fixed(nl: &Netlist, p: &mut NetlistBisection, fixed: &[bool], ws: &mut Workspace) {
+    ws.rebalance.run(
+        &mut NetlistMoves {
+            nl,
+            p,
+            fixed,
+            cache: None,
+        },
+        balance_tolerance(nl),
+    );
+}
+
+/// As [`rebalance_fixed`], but reads gains from — and keeps exact — the
+/// workspace [`NetlistGainCache`], which must be exact for `(nl, p)` on
+/// entry: the netlist analogue of the graph-side cache-maintaining
+/// rebalance used between projected-cache refinement levels.
 pub fn rebalance_with_cache(
     nl: &Netlist,
     p: &mut NetlistBisection,
     fixed: &[bool],
-    cache: &mut NetlistGainCache,
+    ws: &mut Workspace,
 ) {
-    let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
-    while !p.is_balanced(nl) {
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        let imbalance = p.weight_imbalance();
-        let candidate = nl
-            .cells()
-            .filter(|&c| p.side(c) == heavy && !is_fixed(c) && nl.cell_weight(c) < imbalance)
-            .max_by_key(|&c| (cache.gain(c), std::cmp::Reverse(c)));
-        match candidate {
-            Some(c) => {
-                cache.record_move(nl, p, c);
-                p.move_cell(nl, c);
-            }
-            None => return,
+    ws.rebalance.run(
+        &mut NetlistMoves {
+            nl,
+            p,
+            fixed,
+            cache: Some(&mut ws.netlist_cache),
+        },
+        balance_tolerance(nl),
+    );
+}
+
+/// A netlist bisection under rebalance, with gains from an exact cache
+/// or, without one, from per-net pin counts.
+struct NetlistMoves<'a> {
+    nl: &'a Netlist,
+    p: &'a mut NetlistBisection,
+    fixed: &'a [bool],
+    cache: Option<&'a mut NetlistGainCache>,
+}
+
+impl Moves for NetlistMoves<'_> {
+    fn len(&self) -> usize {
+        self.nl.num_cells()
+    }
+
+    fn side_weight(&self, s: Side) -> VertexWeight {
+        self.p.weight(s)
+    }
+
+    fn side(&self, c: VertexId) -> Side {
+        self.p.side(c)
+    }
+
+    fn weight(&self, c: VertexId) -> VertexWeight {
+        self.nl.cell_weight(c)
+    }
+
+    fn movable(&self, c: VertexId) -> bool {
+        !self.fixed.get(c as usize).copied().unwrap_or(false)
+    }
+
+    fn gain(&self, c: VertexId) -> i64 {
+        match &self.cache {
+            Some(cache) => cache.gain(c),
+            None => self.p.gain(self.nl, c),
         }
+    }
+
+    fn apply(&mut self, c: VertexId, touched: &mut Vec<VertexId>) {
+        match self.cache.as_deref_mut() {
+            Some(cache) => cache.record_move_collecting(self.nl, self.p, c, touched),
+            None => {
+                for &net in self.nl.nets_of(c) {
+                    touched.extend_from_slice(self.nl.pins(net));
+                }
+            }
+        }
+        self.p.move_cell(self.nl, c);
     }
 }
 
@@ -580,24 +630,139 @@ mod tests {
         // Everything on side A; cells 0 and 1 are pinned there.
         let mut p = NetlistBisection::from_sides(&nl, vec![false; 6]).unwrap();
         let fixed = vec![true, true, false, false, false, false];
-        rebalance_fixed(&nl, &mut p, &fixed);
+        rebalance_fixed(&nl, &mut p, &fixed, &mut Workspace::new());
         assert!(p.is_balanced(&nl));
         assert_eq!(p.side(0), Side::A);
         assert_eq!(p.side(1), Side::A);
     }
 
-    #[test]
-    fn rebalance_with_cache_matches_plain() {
-        let nl = two_clusters();
-        let mut plain = NetlistBisection::from_sides(&nl, vec![false; 6]).unwrap();
-        let mut cached = plain.clone();
-        let mut cache = NetlistGainCache::default();
-        cache.init(&nl, &cached);
-        rebalance(&nl, &mut plain);
-        rebalance_with_cache(&nl, &mut cached, &[], &mut cache);
-        assert_eq!(plain, cached);
-        for c in nl.cells() {
-            assert_eq!(cache.gain(c), cached.gain(&nl, c));
+    /// The scan rebalance the heap-indexed one replaced — every cell is
+    /// rescanned for every move — kept as the reference its moves must
+    /// equal. Returns the moves in order.
+    fn rebalance_scan_reference(
+        nl: &Netlist,
+        p: &mut NetlistBisection,
+        fixed: &[bool],
+    ) -> Vec<VertexId> {
+        let is_fixed = |c: VertexId| fixed.get(c as usize).copied().unwrap_or(false);
+        let mut moves = Vec::new();
+        while !p.is_balanced(nl) {
+            let heavy = if p.weight(Side::A) > p.weight(Side::B) {
+                Side::A
+            } else {
+                Side::B
+            };
+            let imbalance = p.weight_imbalance();
+            let candidate = nl
+                .cells()
+                .filter(|&c| p.side(c) == heavy && !is_fixed(c) && nl.cell_weight(c) < imbalance)
+                .max_by_key(|&c| (p.gain(nl, c), std::cmp::Reverse(c)));
+            match candidate {
+                Some(c) => {
+                    p.move_cell(nl, c);
+                    moves.push(c);
+                }
+                None => return moves,
+            }
+        }
+        moves
+    }
+
+    /// A weighted coarse netlist: a random netlist with net weights in
+    /// `1..=3`, contracted through `levels` random cell matchings.
+    fn weighted_coarse_netlist(cells: usize, nets: usize, levels: usize, seed: u64) -> Netlist {
+        use bisect_graph::hypergraph::{contract_cells, random_cell_matching};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new(cells);
+        for _ in 0..nets {
+            let size = rng.gen_range(2..=5usize);
+            let pins: Vec<VertexId> = (0..size)
+                .map(|_| rng.gen_range(0..cells as VertexId))
+                .collect();
+            b.add_weighted_net(&pins, rng.gen_range(1..=3u64)).unwrap();
+        }
+        let mut nl = b.build();
+        for _ in 0..levels {
+            let pairs = random_cell_matching(&nl, &mut rng);
+            nl = contract_cells(&nl, &pairs).coarse().clone();
+        }
+        nl
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Every heap-indexed entry point makes exactly the scan
+        /// reference's moves, in order, with and without fixed cells,
+        /// and the cached one leaves its cache exact. Starts are
+        /// count-balanced random bisections — weight-unbalanced on the
+        /// weighted coarse netlists — or lopsided random ones; one
+        /// workspace serves repeated runs, so a warm heap is covered
+        /// too.
+        #[test]
+        fn heap_rebalance_matches_scan_reference(
+            cells in 4usize..90,
+            net_factor in 1usize..3,
+            levels in 0usize..4,
+            netlist_seed in 0u64..10_000,
+            start_seed in 0u64..10_000,
+            lopsided in 0u32..4,
+            fix_every in 0usize..5,
+        ) {
+            use crate::rebalance::Recording;
+            let nl = weighted_coarse_netlist(cells, cells * net_factor, levels, netlist_seed);
+            let mut rng = StdRng::seed_from_u64(start_seed);
+            let start = if lopsided == 0 {
+                NetlistBisection::random_balanced(&nl, &mut rng)
+            } else {
+                let sides = nl.cells().map(|_| rng.gen_range(0..=lopsided) == 0).collect();
+                NetlistBisection::from_sides(&nl, sides).unwrap()
+            };
+            let fixed: Vec<bool> = if fix_every == 0 {
+                Vec::new()
+            } else {
+                nl.cells().map(|_| rng.gen_range(0..=fix_every) == 0).collect()
+            };
+            let mut reference = start.clone();
+            let reference_moves = rebalance_scan_reference(&nl, &mut reference, &fixed);
+
+            let mut ws = Workspace::new();
+            for cached in [false, true, false, true] {
+                let mut p = start.clone();
+                if cached {
+                    ws.netlist_cache.init(&nl, &p);
+                }
+                let mut recording = Recording {
+                    inner: NetlistMoves {
+                        nl: &nl,
+                        p: &mut p,
+                        fixed: &fixed,
+                        cache: cached.then_some(&mut ws.netlist_cache),
+                    },
+                    log: Vec::new(),
+                };
+                ws.rebalance.run(&mut recording, balance_tolerance(&nl));
+                proptest::prop_assert_eq!(&recording.log, &reference_moves, "cached: {}", cached);
+                proptest::prop_assert_eq!(&p, &reference);
+                if cached {
+                    for c in nl.cells() {
+                        proptest::prop_assert_eq!(ws.netlist_cache.gain(c), p.gain(&nl, c));
+                    }
+                }
+            }
+
+            let mut fixed_in = start.clone();
+            rebalance_fixed(&nl, &mut fixed_in, &fixed, &mut ws);
+            proptest::prop_assert_eq!(&fixed_in, &reference);
+            let mut cached = start.clone();
+            ws.netlist_cache.init(&nl, &cached);
+            rebalance_with_cache(&nl, &mut cached, &fixed, &mut ws);
+            proptest::prop_assert_eq!(&cached, &reference);
+            if fixed.is_empty() {
+                let mut plain = start.clone();
+                rebalance(&nl, &mut plain);
+                proptest::prop_assert_eq!(&plain, &reference);
+            }
         }
     }
 

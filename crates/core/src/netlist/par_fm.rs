@@ -40,7 +40,7 @@ use rand::RngCore;
 use crate::partition::Side;
 use crate::workspace::Workspace;
 
-use super::{gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner};
+use super::{fm_tolerances, gain_term, NetlistBisection, NetlistGainCache, NetlistRefiner};
 
 /// Boundary-chunked parallel Fiduccia–Mattheyses on netlists.
 ///
@@ -150,14 +150,7 @@ impl ParallelNetlistFm {
         // pass; the live re-validation is a cached O(1) lookup, and
         // every applied (or rolled-back) move is recorded so the cache
         // stays exact round to round.
-        let max_weight = nl.cells().map(|c| nl.cell_weight(c)).max().unwrap_or(1);
-        let unit = nl.cells().all(|c| nl.cell_weight(c) == 1);
-        let base_tol = if unit {
-            nl.total_cell_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
+        let (base_tol, pass_tol) = fm_tolerances(nl);
 
         let start_cut = p.cut();
         let mut best_cut = start_cut;

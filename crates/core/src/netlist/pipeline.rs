@@ -18,7 +18,8 @@
 use std::sync::Arc;
 
 use bisect_graph::hypergraph::{
-    contract_cells, random_cell_matching_with_skip, Netlist, NetlistContraction,
+    contract_cells_into, random_cell_matching_with_skip, Netlist, NetlistContraction,
+    NetlistContractionScratch,
 };
 use bisect_graph::VertexId;
 use rand::RngCore;
@@ -210,6 +211,7 @@ fn run(
     let mut ladder: Vec<NetlistContraction> = Vec::new();
     let mut fixed_ladder: Vec<Vec<Option<Side>>> = vec![fixed0];
     let mut skip: Vec<bool> = Vec::new();
+    let mut scratch = NetlistContractionScratch::new();
     loop {
         let contraction = {
             let cur: &Netlist = ladder.last().map_or(nl, |c| c.coarse());
@@ -226,7 +228,7 @@ fn run(
             if pairs.is_empty() {
                 break;
             }
-            contract_cells(cur, &pairs)
+            contract_cells_into(cur, &pairs, &mut scratch)
         };
         let next_fixed = if has_fixed {
             let cur_fixed = fixed_ladder.last().expect("one entry per level");
@@ -243,6 +245,9 @@ fn run(
         fixed_ladder.push(next_fixed);
         ladder.push(contraction);
     }
+    // The scratch holds finest-level pin buffers; release them before
+    // refinement.
+    drop(scratch);
 
     // Initial bisection of the coarsest netlist.
     let mut flags: Vec<bool> = Vec::new();
@@ -284,10 +289,10 @@ fn run(
         let (refined, stage) = if projected_cache {
             ws.netlist_cache
                 .project(fine, &projected, ladder[i].fine_to_coarse());
-            rebalance_with_cache(fine, &mut projected, &flags, &mut ws.netlist_cache);
+            rebalance_with_cache(fine, &mut projected, &flags, ws);
             refiner.refine_projected_counted(fine, &flags, projected, rng, ws)
         } else {
-            rebalance_fixed(fine, &mut projected, &flags);
+            rebalance_fixed(fine, &mut projected, &flags, ws);
             refiner.refine_counted(fine, &flags, projected, rng, ws)
         };
         current = refined;
@@ -296,7 +301,7 @@ fn run(
     if !current.is_balanced(nl) {
         flags.clear();
         flags.extend(fixed_ladder[0].iter().map(Option::is_some));
-        rebalance_fixed(nl, &mut current, &flags);
+        rebalance_fixed(nl, &mut current, &flags, ws);
     }
     (current, work)
 }

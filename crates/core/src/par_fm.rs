@@ -48,7 +48,7 @@ use rand::RngCore;
 
 use crate::bisector::{Bisector, Refiner};
 use crate::gain_cache::GainCache;
-use crate::partition::{Bisection, Side};
+use crate::partition::{fm_tolerances, Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -154,13 +154,7 @@ impl ParallelFm {
         all.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
 
         // Serial resolve: same tolerances as the serial FM pass.
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
+        let (base_tol, pass_tol) = fm_tolerances(g);
 
         let start_cut = p.cut();
         let mut best_cut = start_cut;
@@ -243,13 +237,7 @@ impl ParallelFm {
         // Serial resolve, as in `round`, except the live re-validation
         // is a cached O(1) lookup and every applied (or rolled-back)
         // move is recorded so the cache stays exact round to round.
-        let max_weight = g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(1);
-        let base_tol = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            max_weight
-        };
-        let pass_tol = base_tol.max(2 * max_weight);
+        let (base_tol, pass_tol) = fm_tolerances(g);
 
         let start_cut = p.cut();
         let mut best_cut = start_cut;

@@ -10,6 +10,8 @@
 use bisect_graph::{EdgeWeight, Graph, VertexId, VertexWeight};
 
 use crate::gain_cache::GainCache;
+use crate::rebalance::Moves;
+use crate::workspace::Workspace;
 
 /// The two sides of a bisection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -237,12 +239,7 @@ impl Bisection {
     /// at most the largest vertex weight for weighted (contracted)
     /// graphs, where exact balance may be unattainable.
     pub fn is_balanced(&self, g: &Graph) -> bool {
-        let tolerance = if g.is_unit_weighted() {
-            g.total_vertex_weight() % 2
-        } else {
-            g.vertices().map(|v| g.vertex_weight(v)).max().unwrap_or(0)
-        };
-        self.weight_imbalance() <= tolerance
+        self.weight_imbalance() <= balance_tolerance(g)
     }
 
     /// The gain `g_v` of moving `v` to the other side: (weight of edges
@@ -358,9 +355,6 @@ impl Bisection {
 
     /// Vertices on the given side, in increasing id order.
     pub fn members(&self, side: Side) -> Vec<VertexId> {
-        // lint: allow(zero-alloc) — allocating convenience API; inner
-        // loops use members_into, and the only hot-entry route here is
-        // the end-of-run rebalance fallback.
         let mut out = Vec::new();
         self.members_into(side, &mut out);
         out
@@ -416,97 +410,110 @@ fn apply_gain(cut: EdgeWeight, gain: i64) -> EdgeWeight {
     }
 }
 
-/// Moves minimum-damage vertices from the heavier side to the lighter
-/// side until the bisection is balanced (per
-/// [`Bisection::is_balanced`]). Each step moves the vertex with the
-/// best gain among the heavy side; used after projecting a coarse
-/// bisection back to the fine graph, where weight-balance may not
-/// project exactly.
-pub fn rebalance(g: &Graph, p: &mut Bisection) {
-    while !p.is_balanced(g) {
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        let imbalance = p.weight_imbalance();
-        // Among vertices whose move strictly reduces the imbalance
-        // (weight < imbalance), pick the best gain; such a vertex
-        // always exists because the heavy side holds more than half the
-        // total weight while every single weight is at most half of it
-        // in any graph where is_balanced can fail.
-        let candidate = p
-            .members(heavy)
-            .into_iter()
-            .filter(|&v| 2 * g.vertex_weight(v) < 2 * imbalance)
-            .max_by_key(|&v| (p.gain(g, v), std::cmp::Reverse(v)));
-        match candidate {
-            Some(v) => p.move_vertex(g, v),
-            None => {
-                // Every heavy-side weight is >= the imbalance; moving
-                // the one minimizing the resulting imbalance is the
-                // best achievable, after which we stop.
-                let v = p
-                    .members(heavy)
-                    .into_iter()
-                    .min_by_key(|&v| (2 * g.vertex_weight(v)).abs_diff(imbalance))
-                    // lint: allow(no-panic) — imbalance > 0 implies the heavy side has members
-                    .expect("heavier side is nonempty");
-                if (2 * g.vertex_weight(v)).abs_diff(imbalance) < imbalance {
-                    p.move_vertex(g, v);
-                }
-                return;
-            }
-        }
+/// The weight imbalance [`Bisection::is_balanced`] accepts: the
+/// parity remainder `total % 2` for unit-weight graphs, the largest
+/// vertex weight otherwise (exact balance may be unattainable on
+/// contracted graphs). `O(1)`.
+pub(crate) fn balance_tolerance(g: &Graph) -> VertexWeight {
+    if g.is_unit_weighted() {
+        g.total_vertex_weight() % 2
+    } else {
+        g.max_vertex_weight()
     }
 }
 
-/// [`rebalance`], but selecting over `cache.members` with cached O(1)
-/// gains instead of materializing member lists and paying an O(deg)
-/// gain walk per candidate, and keeping `cache` exact across the moves
-/// it makes. Picks the same vertices as [`rebalance`]: both selection
-/// keys are made injective (ties broken toward the smaller vertex id),
-/// so the unspecified order of `cache.members` cannot change the
-/// outcome.
+/// The FM balance tolerances `(base, pass)`: `base` is
+/// [`balance_tolerance`]; during a pass a single move may overshoot
+/// balance by one vertex — moving weight `w` changes the side
+/// *difference* by `2w` — so `pass` allows up to twice the largest
+/// vertex weight.
+pub(crate) fn fm_tolerances(g: &Graph) -> (VertexWeight, VertexWeight) {
+    let base = balance_tolerance(g);
+    (base, base.max(2 * g.max_vertex_weight().max(1)))
+}
+
+/// Moves minimum-damage vertices from the heavier side to the lighter
+/// side until the bisection is balanced (per
+/// [`Bisection::is_balanced`]); used after projecting a coarse
+/// bisection back to the fine graph, where weight-balance may not
+/// project exactly. Each step moves the best-gain heavy-side vertex
+/// among those lighter than the imbalance (ties toward the lower id).
+/// Such a vertex always exists: the balance tolerance is at least the
+/// largest vertex weight (on unit-weight graphs an unbalanced
+/// imbalance is at least 2), so every vertex is lighter than any
+/// imbalance the tolerance rejects.
 ///
-/// `cache` must be exact for `(g, p)` on entry; it is exact for the
-/// rebalanced `p` on exit.
-pub fn rebalance_with_cache(g: &Graph, p: &mut Bisection, cache: &mut GainCache) {
-    while !p.is_balanced(g) {
-        let heavy = if p.weight(Side::A) > p.weight(Side::B) {
-            Side::A
-        } else {
-            Side::B
-        };
-        let imbalance = p.weight_imbalance();
-        let candidate = cache
-            .members(heavy)
-            .iter()
-            .copied()
-            .filter(|&v| 2 * g.vertex_weight(v) < 2 * imbalance)
-            .max_by_key(|&v| (cache.gain(v), std::cmp::Reverse(v)));
-        match candidate {
-            Some(v) => {
-                let gain = cache.gain(v);
-                cache.record_move(g, p, v);
-                p.move_vertex_with_gain(g, v, gain);
-            }
-            None => {
-                let v = cache
-                    .members(heavy)
-                    .iter()
-                    .copied()
-                    .min_by_key(|&v| ((2 * g.vertex_weight(v)).abs_diff(imbalance), v))
-                    // lint: allow(no-panic) — imbalance > 0 implies the heavy side has members
-                    .expect("heavier side is nonempty");
-                if (2 * g.vertex_weight(v)).abs_diff(imbalance) < imbalance {
-                    let gain = cache.gain(v);
-                    cache.record_move(g, p, v);
-                    p.move_vertex_with_gain(g, v, gain);
-                }
-                return;
-            }
+/// Picks come from a lazy max-heap of the heavy side, so a rebalance
+/// costs `O(V + E + moves·deg·(deg + log V))` — gains are
+/// recomputed by adjacency walks. Allocates its heap; see
+/// [`rebalance_in`] for the workspace-backed form.
+pub fn rebalance(g: &Graph, p: &mut Bisection) {
+    rebalance_in(g, p, &mut Workspace::new());
+}
+
+/// As [`rebalance`], drawing the heap from `ws` — allocation-free once
+/// the workspace is warm. Leaves the workspace gain cache untouched.
+pub fn rebalance_in(g: &Graph, p: &mut Bisection, ws: &mut Workspace) {
+    let mut moves = GraphMoves { g, p, cache: None };
+    ws.rebalance.run(&mut moves, balance_tolerance(g));
+}
+
+/// As [`rebalance_in`], but reading `O(1)` gains from — and keeping
+/// exact — the workspace gain cache, which must be exact for `(g, p)`
+/// on entry and is exact for the rebalanced `p` on exit. Picks the
+/// same vertices as [`rebalance`], in `O(V + moves·deg·log V)`.
+pub fn rebalance_with_cache(g: &Graph, p: &mut Bisection, ws: &mut Workspace) {
+    let cache = Some(&mut ws.gain_cache);
+    ws.rebalance
+        .run(&mut GraphMoves { g, p, cache }, balance_tolerance(g));
+}
+
+/// A graph bisection under rebalance, with gains from an exact cache
+/// or, without one, from adjacency walks.
+struct GraphMoves<'a> {
+    g: &'a Graph,
+    p: &'a mut Bisection,
+    cache: Option<&'a mut GainCache>,
+}
+
+impl Moves for GraphMoves<'_> {
+    fn len(&self) -> usize {
+        self.g.num_vertices()
+    }
+
+    fn side_weight(&self, s: Side) -> VertexWeight {
+        self.p.weight(s)
+    }
+
+    fn side(&self, v: VertexId) -> Side {
+        self.p.side(v)
+    }
+
+    fn weight(&self, v: VertexId) -> VertexWeight {
+        self.g.vertex_weight(v)
+    }
+
+    fn movable(&self, _: VertexId) -> bool {
+        true
+    }
+
+    fn gain(&self, v: VertexId) -> i64 {
+        match &self.cache {
+            Some(cache) => cache.gain(v),
+            None => self.p.gain(self.g, v),
         }
+    }
+
+    fn apply(&mut self, v: VertexId, touched: &mut Vec<VertexId>) {
+        match self.cache.as_deref_mut() {
+            Some(cache) => {
+                let gain = cache.gain(v);
+                cache.record_move(self.g, self.p, v);
+                self.p.move_vertex_with_gain(self.g, v, gain);
+            }
+            None => self.p.move_vertex(self.g, v),
+        }
+        touched.extend_from_slice(self.g.neighbors(v));
     }
 }
 
@@ -710,30 +717,134 @@ mod tests {
         assert!(Bisection::from_sides_with_cut(&g, vec![false; 3], 0).is_err());
     }
 
-    #[test]
-    fn rebalance_with_cache_matches_rebalance() {
+    /// The scan rebalance the heap-indexed one replaced — the heavy
+    /// side's members are rescanned for every move — kept as the
+    /// reference its moves must equal. Returns the moves in order.
+    fn rebalance_scan_reference(g: &Graph, p: &mut Bisection) -> Vec<VertexId> {
+        let mut moves = Vec::new();
+        while !p.is_balanced(g) {
+            let heavy = if p.weight(Side::A) > p.weight(Side::B) {
+                Side::A
+            } else {
+                Side::B
+            };
+            let imbalance = p.weight_imbalance();
+            let candidate = p
+                .members(heavy)
+                .into_iter()
+                .filter(|&v| 2 * g.vertex_weight(v) < 2 * imbalance)
+                .max_by_key(|&v| (p.gain(g, v), std::cmp::Reverse(v)));
+            match candidate {
+                Some(v) => {
+                    p.move_vertex(g, v);
+                    moves.push(v);
+                }
+                None => {
+                    let v = p
+                        .members(heavy)
+                        .into_iter()
+                        .min_by_key(|&v| (2 * g.vertex_weight(v)).abs_diff(imbalance))
+                        .expect("heavier side is nonempty");
+                    if (2 * g.vertex_weight(v)).abs_diff(imbalance) < imbalance {
+                        p.move_vertex(g, v);
+                        moves.push(v);
+                    }
+                    return moves;
+                }
+            }
+        }
+        moves
+    }
+
+    /// A weighted coarse graph: a random graph on `n` vertices with
+    /// edge weights in `1..=3`, contracted through `levels` random
+    /// maximal matchings.
+    fn weighted_coarse_graph(n: usize, edges: usize, levels: usize, seed: u64) -> Graph {
+        use bisect_graph::{contraction, matching};
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        for seed in 0..16u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let params = bisect_gen::gnp::GnpParams::new(40, 0.1).unwrap();
-            let g = bisect_gen::gnp::sample(&mut rng, &params);
-            // Deliberately lopsided start so rebalance has work to do.
-            let sides: Vec<bool> = (0..40).map(|_| rng.gen_range(0..4) == 0).collect();
-            let mut plain = Bisection::from_sides(&g, sides.clone()).unwrap();
-            let mut cached = Bisection::from_sides(&g, sides).unwrap();
-            let mut cache = GainCache::default();
-            cache.init(&g, &cached);
-            rebalance(&g, &mut plain);
-            rebalance_with_cache(&g, &mut cached, &mut cache);
-            assert_eq!(plain, cached, "seed {seed}");
-            for v in g.vertices() {
-                assert_eq!(
-                    cache.gain(v),
-                    cached.gain(&g, v),
-                    "stale cache, seed {seed}"
-                );
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..edges {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if u != v {
+                b.add_weighted_edge(u, v, rng.gen_range(1..=3u64)).unwrap();
             }
+        }
+        let mut g = b.build();
+        for _ in 0..levels {
+            let m = matching::random_maximal(&g, &mut rng);
+            g = contraction::contract_matching(&g, &m).coarse().clone();
+        }
+        g
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Every heap-indexed entry point makes exactly the scan
+        /// reference's moves, in order, and the cached one leaves its
+        /// cache exact. Starts are count-balanced random bisections —
+        /// weight-unbalanced on the weighted coarse graphs — or
+        /// lopsided random ones; one workspace serves repeated runs, so
+        /// a warm heap is covered too.
+        #[test]
+        fn heap_rebalance_matches_scan_reference(
+            n in 4usize..90,
+            degree in 1usize..5,
+            levels in 0usize..4,
+            graph_seed in 0u64..10_000,
+            start_seed in 0u64..10_000,
+            lopsided in 0u32..4,
+        ) {
+            use crate::rebalance::Recording;
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let g = weighted_coarse_graph(n, n * degree, levels, graph_seed);
+            let mut rng = StdRng::seed_from_u64(start_seed);
+            let start = if lopsided == 0 {
+                crate::seed::random_balanced(&g, &mut rng)
+            } else {
+                let sides = g.vertices().map(|_| rng.gen_range(0..=lopsided) == 0).collect();
+                Bisection::from_sides(&g, sides).unwrap()
+            };
+            let mut reference = start.clone();
+            let reference_moves = rebalance_scan_reference(&g, &mut reference);
+
+            let mut ws = Workspace::new();
+            for cached in [false, true, false, true] {
+                let mut p = start.clone();
+                if cached {
+                    ws.gain_cache.init(&g, &p);
+                }
+                let mut recording = Recording {
+                    inner: GraphMoves {
+                        g: &g,
+                        p: &mut p,
+                        cache: cached.then_some(&mut ws.gain_cache),
+                    },
+                    log: Vec::new(),
+                };
+                ws.rebalance.run(&mut recording, balance_tolerance(&g));
+                proptest::prop_assert_eq!(&recording.log, &reference_moves, "cached: {}", cached);
+                proptest::prop_assert_eq!(&p, &reference);
+                if cached {
+                    for v in g.vertices() {
+                        proptest::prop_assert_eq!(ws.gain_cache.gain(v), p.gain(&g, v));
+                    }
+                }
+            }
+
+            let mut plain = start.clone();
+            rebalance(&g, &mut plain);
+            proptest::prop_assert_eq!(&plain, &reference);
+            let mut warm = start.clone();
+            rebalance_in(&g, &mut warm, &mut ws);
+            proptest::prop_assert_eq!(&warm, &reference);
+            let mut cached = start.clone();
+            ws.gain_cache.init(&g, &cached);
+            rebalance_with_cache(&g, &mut cached, &mut ws);
+            proptest::prop_assert_eq!(&cached, &reference);
         }
     }
 

@@ -28,7 +28,7 @@ use rand::RngCore;
 
 use crate::bisector::Refiner;
 use crate::error::BisectError;
-use crate::partition::{rebalance, rebalance_with_cache, Bisection};
+use crate::partition::{rebalance_in, rebalance_with_cache, Bisection};
 use crate::workspace::Workspace;
 
 use super::coarsen::CoarsenScheme;
@@ -146,17 +146,17 @@ pub fn run(
         let (refined, stage_work) = if projected_cache {
             ws.gain_cache
                 .project(fine, &projected, ladder[i].fine_to_coarse());
-            rebalance_with_cache(fine, &mut projected, &mut ws.gain_cache);
+            rebalance_with_cache(fine, &mut projected, ws);
             refiner.refine_projected_counted(fine, projected, rng, ws)
         } else {
-            rebalance(fine, &mut projected);
+            rebalance_in(fine, &mut projected, ws);
             refiner.refine_counted(fine, projected, rng, ws)
         };
         current = refined;
         work += stage_work;
     }
     if !current.is_balanced(g) {
-        rebalance(g, &mut current);
+        rebalance_in(g, &mut current, ws);
     }
     Ok((current, work))
 }

@@ -52,7 +52,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 use crate::bisector::{Bisector, Refiner};
-use crate::partition::{rebalance, Bisection, Side};
+use crate::partition::{rebalance_in, Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
 
@@ -438,7 +438,7 @@ impl SimulatedAnnealing {
         // never allocates after the first run.
         let mut best = ws.checkout_sa_best(&current);
         if !best.is_balanced(g) {
-            rebalance(g, &mut best);
+            rebalance_in(g, &mut best, ws);
         }
         // Swap deltas are bounded: |δ| = |g_a + g_b − 2δ_ab| ≤ 4·max
         // weighted degree, which sizes the acceptance table.
@@ -566,7 +566,7 @@ impl SimulatedAnnealing {
         // In flip mode the current state may beat `best` after
         // rebalancing; check both.
         if let MoveKind::Flip { .. } = self.move_kind {
-            rebalance(g, &mut current);
+            rebalance_in(g, &mut current, ws);
             if current.cut() < best.cut() {
                 best.copy_from(&current);
             }

@@ -25,6 +25,7 @@ use crate::gain::{GainBuckets, SortedBuckets};
 use crate::gain_cache::GainCache;
 use crate::netlist::{NetlistBisection, NetlistGainCache};
 use crate::partition::Bisection;
+use crate::rebalance::RebalanceHeap;
 
 /// Scratch arenas shared by the KL, FM, and SA hot paths. See the
 /// [module docs](self) for the ownership model.
@@ -67,6 +68,8 @@ pub struct Workspace {
     /// SA's per-temperature acceptance table: `sa_exp[δ] = exp(-δ/T)`
     /// for integer uphill deltas δ at the current temperature.
     pub(crate) sa_exp: Vec<f64>,
+    /// The lazy heap of the graph and netlist rebalances.
+    pub(crate) rebalance: RebalanceHeap,
     /// SA proposals evaluated since the last [`Workspace::take_proposals`].
     proposals: u64,
 }
@@ -116,13 +119,6 @@ impl Workspace {
         &self.gain_cache
     }
 
-    /// Mutable access to the workspace gain cache, for drivers that
-    /// apply moves outside a refiner ([`crate::partition`]'s
-    /// `rebalance_with_cache`) and must keep the cache exact.
-    pub fn gain_cache_mut(&mut self) -> &mut GainCache {
-        &mut self.gain_cache
-    }
-
     /// (Re)initializes the workspace *netlist* gain cache for
     /// `(nl, p)` in O(cells + pins) — the hypergraph analogue of
     /// [`Workspace::prepare_gain_cache`], used by drivers that manage a
@@ -157,14 +153,6 @@ impl Workspace {
     /// returned).
     pub fn netlist_cache(&self) -> &NetlistGainCache {
         &self.netlist_cache
-    }
-
-    /// Mutable access to the workspace netlist gain cache, for drivers
-    /// that apply moves outside a refiner
-    /// ([`crate::netlist::rebalance_with_cache`]) and must keep the
-    /// cache exact.
-    pub fn netlist_cache_mut(&mut self) -> &mut NetlistGainCache {
-        &mut self.netlist_cache
     }
 
     /// Checks out the SA best-so-far buffer seeded as a copy of

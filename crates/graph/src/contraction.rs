@@ -14,7 +14,7 @@
 //! equals the fine cut exactly (tested below and by property tests).
 
 use crate::matching::Matching;
-use crate::{Graph, GraphBuilder, VertexId};
+use crate::{EdgeWeight, Graph, VertexId, VertexWeight};
 
 /// The result of contracting a matching: the coarse graph together with
 /// the fine-to-coarse vertex map.
@@ -92,89 +92,181 @@ impl Contraction {
 /// order of first appearance of each group along fine vertex order, so
 /// the map is deterministic given the matching.
 ///
+/// The coarse CSR is written directly, one row per coarse vertex: the
+/// mapped fine rows of its (one or two) members are gathered, sorted by
+/// neighbor, and parallel edges summed as adjacent duplicates.
+/// `O(V + E + Σ row·log row)` time over the gathered rows; every array
+/// of the result is sized exactly. The output is identical to
+/// adding every coarse edge to a [`GraphBuilder`](crate::GraphBuilder)
+/// (property-tested).
+///
 /// # Panics
 ///
-/// Panics if the matching was built for a different vertex count.
-// lint: allow(no-panic) — sums of positive fine weights stay positive,
-// cu != cv is checked before add_edge, and ids are in range.
+/// Panics if the matching was built for a different vertex count or
+/// pairs a vertex twice.
 pub fn contract_matching(g: &Graph, m: &Matching) -> Contraction {
     let n = g.num_vertices();
-    // Assign coarse ids.
+    // Assign coarse ids; `first[c]` is the lower-id member of group c.
     let mut fine_to_coarse = vec![VertexId::MAX; n];
-    let mut next: VertexId = 0;
+    let mut first: Vec<VertexId> = Vec::with_capacity(n);
     for v in 0..n as VertexId {
         if fine_to_coarse[v as usize] != VertexId::MAX {
             continue;
         }
-        fine_to_coarse[v as usize] = next;
+        let c = first.len() as VertexId;
+        fine_to_coarse[v as usize] = c;
         if let Some(u) = m.mate(v) {
             assert_eq!(
                 fine_to_coarse[u as usize],
                 VertexId::MAX,
                 "matching must pair each vertex at most once"
             );
-            fine_to_coarse[u as usize] = next;
+            fine_to_coarse[u as usize] = c;
         }
-        next += 1;
+        first.push(v);
     }
-    let num_coarse = next as usize;
+    let num_coarse = first.len();
 
-    let mut builder = GraphBuilder::new(num_coarse);
-    builder.reserve_edges(g.num_edges());
-    // Coarse vertex weights: sum of fine weights in each group.
-    let mut weights = vec![0u64; num_coarse];
-    for v in 0..n as VertexId {
-        weights[fine_to_coarse[v as usize] as usize] += g.vertex_weight(v);
-    }
-    for (c, &w) in weights.iter().enumerate() {
-        builder
-            .set_vertex_weight(c as VertexId, w)
-            .expect("coarse weights are positive sums of positive weights");
-    }
-    for (u, v, w) in g.edges() {
-        let (cu, cv) = (fine_to_coarse[u as usize], fine_to_coarse[v as usize]);
-        if cu != cv {
-            builder
-                .add_weighted_edge(cu, cv, w)
-                .expect("coarse endpoints are in range and distinct");
+    let mut xadj: Vec<usize> = Vec::with_capacity(num_coarse + 1);
+    xadj.push(0);
+    let mut adjncy: Vec<VertexId> = Vec::with_capacity(2 * g.num_edges());
+    let mut edge_weights: Vec<EdgeWeight> = Vec::with_capacity(2 * g.num_edges());
+    let mut vertex_weights: Vec<VertexWeight> = Vec::with_capacity(num_coarse);
+    // Each coarse row gathers its members' entries, then sorts them by
+    // neighbor and sums adjacent duplicates (parallel coarse edges).
+    let mut row: Vec<(VertexId, EdgeWeight)> = Vec::new();
+    for (c, &v) in first.iter().enumerate() {
+        let c = c as VertexId;
+        row.clear();
+        let mut weight = 0;
+        for x in std::iter::once(v).chain(m.mate(v)) {
+            weight += g.vertex_weight(x);
+            for (u, w) in g.neighbors_weighted(x) {
+                let cu = fine_to_coarse[u as usize];
+                if cu != c {
+                    row.push((cu, w));
+                }
+            }
         }
+        row.sort_unstable_by_key(|&(cu, _)| cu);
+        let start = adjncy.len();
+        for &(cu, w) in &row {
+            match edge_weights.last_mut() {
+                Some(last) if adjncy.len() > start && adjncy[adjncy.len() - 1] == cu => *last += w,
+                _ => {
+                    adjncy.push(cu);
+                    edge_weights.push(w);
+                }
+            }
+        }
+        xadj.push(adjncy.len());
+        vertex_weights.push(weight);
     }
+    adjncy.shrink_to_fit();
+    edge_weights.shrink_to_fit();
     Contraction {
-        coarse: builder.build(),
+        coarse: Graph::from_csr(xadj, adjncy, edge_weights, vertex_weights),
         fine_to_coarse,
         num_fine: n,
     }
 }
 
-/// Repeatedly contracts random maximal matchings until the graph has at
-/// most `target_vertices` vertices or a matching makes no progress.
-/// Returns the ladder of contractions, finest first. Used by the
-/// multilevel extension.
-pub fn coarsen_to<R: rand::Rng + ?Sized>(
-    g: &Graph,
-    target_vertices: usize,
-    rng: &mut R,
-) -> Vec<Contraction> {
-    let mut ladder = Vec::new();
-    let mut current = g.clone();
-    while current.num_vertices() > target_vertices {
-        let m = crate::matching::random_maximal(&current, rng);
-        if m.is_empty() {
-            break;
-        }
-        let c = contract_matching(&current, &m);
-        current = c.coarse().clone();
-        ladder.push(c);
-    }
-    ladder
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matching;
+    use crate::{matching, GraphBuilder};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The builder-based contraction that [`contract_matching`]
+    /// replaced, kept as the reference its output must equal: every
+    /// coarse edge goes into a [`GraphBuilder`], which sorts all edge
+    /// triples and merges parallel ones.
+    fn contract_matching_reference(g: &Graph, m: &Matching) -> Contraction {
+        let n = g.num_vertices();
+        let mut fine_to_coarse = vec![VertexId::MAX; n];
+        let mut next: VertexId = 0;
+        for v in 0..n as VertexId {
+            if fine_to_coarse[v as usize] != VertexId::MAX {
+                continue;
+            }
+            fine_to_coarse[v as usize] = next;
+            if let Some(u) = m.mate(v) {
+                fine_to_coarse[u as usize] = next;
+            }
+            next += 1;
+        }
+        let num_coarse = next as usize;
+        let mut builder = GraphBuilder::new(num_coarse);
+        let mut weights = vec![0u64; num_coarse];
+        for v in 0..n as VertexId {
+            weights[fine_to_coarse[v as usize] as usize] += g.vertex_weight(v);
+        }
+        for (c, &w) in weights.iter().enumerate() {
+            builder.set_vertex_weight(c as VertexId, w).unwrap();
+        }
+        for (u, v, w) in g.edges() {
+            let (cu, cv) = (fine_to_coarse[u as usize], fine_to_coarse[v as usize]);
+            if cu != cv {
+                builder.add_weighted_edge(cu, cv, w).unwrap();
+            }
+        }
+        Contraction {
+            coarse: builder.build(),
+            fine_to_coarse,
+            num_fine: n,
+        }
+    }
+
+    /// A random graph with vertex weights in `1..=4` and edge weights in
+    /// `1..=3` (parallel edges merge into heavier ones).
+    fn random_weighted_graph(n: usize, edges: usize, seed: u64) -> Graph {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for v in 0..n as VertexId {
+            b.set_vertex_weight(v, rng.gen_range(1..=4u64)).unwrap();
+        }
+        for _ in 0..edges {
+            let u = rng.gen_range(0..n as VertexId);
+            let v = rng.gen_range(0..n as VertexId);
+            if u != v {
+                b.add_weighted_edge(u, v, rng.gen_range(1..=3u64)).unwrap();
+            }
+        }
+        b.build()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The direct-CSR contraction is byte-identical to the builder
+        /// reference — `Debug` output covers every field, including
+        /// the offset array's narrow/wide form — on weighted graphs
+        /// and through a multi-level ladder.
+        #[test]
+        fn direct_csr_contraction_matches_builder_reference(
+            n in 2usize..60,
+            edges in 0usize..200,
+            graph_seed in 0u64..10_000,
+            matching_seed in 0u64..10_000,
+        ) {
+            let mut g = random_weighted_graph(n, edges, graph_seed);
+            let mut rng = StdRng::seed_from_u64(matching_seed);
+            for _ in 0..4 {
+                let m = matching::random_maximal(&g, &mut rng);
+                let fast = contract_matching(&g, &m);
+                let reference = contract_matching_reference(&g, &m);
+                prop_assert_eq!(format!("{fast:?}"), format!("{reference:?}"));
+                prop_assert!(fast.coarse().uses_compact_offsets());
+                prop_assert_eq!(
+                    fast.coarse().is_unit_weighted(),
+                    reference.coarse().is_unit_weighted()
+                );
+                g = fast.coarse().clone();
+            }
+        }
+    }
 
     fn cut_of(g: &Graph, side: &[bool]) -> u64 {
         g.edges()
@@ -279,32 +371,6 @@ mod tests {
         let g = Graph::from_edges(2, &[(0, 1)]).unwrap();
         let c = contract_matching(&g, &Matching::empty(2));
         let _ = c.project_sides(&[true]);
-    }
-
-    #[test]
-    fn coarsen_to_reduces_size() {
-        let n = 64;
-        let edges: Vec<_> = (0..n - 1)
-            .map(|i| (i as VertexId, (i + 1) as VertexId))
-            .collect();
-        let g = Graph::from_edges(n, &edges).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let ladder = coarsen_to(&g, 10, &mut rng);
-        assert!(!ladder.is_empty());
-        let last = ladder.last().unwrap().coarse();
-        assert!(last.num_vertices() <= g.num_vertices() / 2 + 1);
-        // Total vertex weight is invariant through the whole ladder.
-        for c in &ladder {
-            assert_eq!(c.coarse().total_vertex_weight(), n as u64);
-        }
-    }
-
-    #[test]
-    fn coarsen_stops_on_edgeless_graph() {
-        let g = Graph::empty(8);
-        let mut rng = StdRng::seed_from_u64(5);
-        let ladder = coarsen_to(&g, 2, &mut rng);
-        assert!(ladder.is_empty());
     }
 
     #[test]

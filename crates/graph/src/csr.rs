@@ -88,6 +88,11 @@ pub struct Graph {
     num_edges: usize,
     total_edge_weight: EdgeWeight,
     total_vertex_weight: VertexWeight,
+    /// Whether every vertex and edge weight is 1, recorded at
+    /// construction so balance checks need no O(V + E) walk.
+    unit_weighted: bool,
+    /// The largest vertex weight (0 for the empty graph).
+    max_vertex_weight: VertexWeight,
 }
 
 impl Graph {
@@ -120,6 +125,8 @@ impl Graph {
             num_edges: 0,
             total_edge_weight: 0,
             total_vertex_weight: num_vertices as VertexWeight,
+            unit_weighted: true,
+            max_vertex_weight: VertexWeight::from(num_vertices > 0),
         }
     }
 
@@ -139,6 +146,9 @@ impl Graph {
         let num_edges = adjncy.len() / 2;
         let total_edge_weight = edge_weights.iter().sum::<EdgeWeight>() / 2;
         let total_vertex_weight = vertex_weights.iter().sum();
+        let max_vertex_weight = vertex_weights.iter().copied().max().unwrap_or(0);
+        let unit_weighted =
+            vertex_weights.iter().all(|&w| w == 1) && edge_weights.iter().all(|&w| w == 1);
         let g = Graph {
             xadj: Offsets::from_wide(xadj),
             adjncy,
@@ -147,6 +157,8 @@ impl Graph {
             num_edges,
             total_edge_weight,
             total_vertex_weight,
+            unit_weighted,
+            max_vertex_weight,
         };
         debug_assert!(g.check_invariants());
         g
@@ -347,8 +359,17 @@ impl Graph {
 
     /// Whether all vertex and edge weights are `1` (i.e. the graph is an
     /// ordinary simple graph rather than a contracted multigraph).
+    /// Recorded at construction: `O(1)`.
+    #[inline]
     pub fn is_unit_weighted(&self) -> bool {
-        self.vertex_weights.iter().all(|&w| w == 1) && self.edge_weights.iter().all(|&w| w == 1)
+        self.unit_weighted
+    }
+
+    /// The largest vertex weight, `0` for the empty graph. Recorded at
+    /// construction: `O(1)`.
+    #[inline]
+    pub fn max_vertex_weight(&self) -> VertexWeight {
+        self.max_vertex_weight
     }
 }
 
@@ -469,6 +490,21 @@ mod tests {
         assert_eq!(g.edge_weight(0, 1), Some(3));
         assert_eq!(g.total_edge_weight(), 3);
         assert!(!g.is_unit_weighted());
+    }
+
+    #[test]
+    fn weight_summaries_recorded_at_construction() {
+        let mut b = crate::GraphBuilder::new(3);
+        b.add_edge(0, 1).unwrap();
+        b.set_vertex_weight(2, 5).unwrap();
+        let g = b.build();
+        assert!(!g.is_unit_weighted());
+        assert_eq!(g.max_vertex_weight(), 5);
+        assert!(path4().is_unit_weighted());
+        assert_eq!(path4().max_vertex_weight(), 1);
+        assert!(Graph::empty(0).is_unit_weighted());
+        assert_eq!(Graph::empty(0).max_vertex_weight(), 0);
+        assert_eq!(Graph::empty(3).max_vertex_weight(), 1);
     }
 
     #[test]
