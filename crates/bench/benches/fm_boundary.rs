@@ -19,17 +19,27 @@
 //!   measurable win. The full multilevel payoff (projection replacing
 //!   every per-level `O(V + E)` rebuild) is measured end-to-end by
 //!   `repro --huge-smoke`, not here.
+//! * `fm-repass-100k/*` — `BoundaryFm` re-refinement on a BFS-reordered
+//!   `Gnp(10^5, deg 3)`, started from a perturbed multilevel bisection:
+//!   `projected` enters as an uncoarsening level does
+//!   ([`Refiner::refine_projected_counted`]), so each pass ends after
+//!   `max(1024, V/8)` moves that do not improve its best prefix;
+//!   `unbounded` enters through [`Refiner::refine_counted`], whose
+//!   passes run until the lazily reached component is exhausted. The
+//!   gap is the finest-level cost the stall bound removes from every
+//!   graph ladder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use bisect_core::bisector::Refiner;
+use bisect_core::bisector::{Bisector, Refiner};
 use bisect_core::fm::{BoundaryFm, FiducciaMattheyses};
 use bisect_core::partition::Bisection;
+use bisect_core::pipeline::Pipeline;
 use bisect_core::seed;
 use bisect_core::workspace::Workspace;
 use bisect_gen::rng::LaggedFibonacci;
 use bisect_gen::{gbreg, gnp};
-use bisect_graph::Graph;
+use bisect_graph::{reorder, Graph};
 use rand::{RngCore, SeedableRng};
 
 /// Refines a random balanced start to a fixpoint, then perturbs it by
@@ -39,7 +49,12 @@ fn near_converged(g: &Graph, swaps: usize) -> Bisection {
     let mut rng = LaggedFibonacci::seed_from_u64(11);
     let init = seed::random_balanced(g, &mut rng);
     let refined = FiducciaMattheyses::new().refine(g, init, &mut rng);
-    let mut sides = refined.sides().to_vec();
+    perturbed(g, &refined, swaps, &mut rng)
+}
+
+/// `p` after `swaps` random balanced pair swaps.
+fn perturbed(g: &Graph, p: &Bisection, swaps: usize, rng: &mut LaggedFibonacci) -> Bisection {
+    let mut sides = p.sides().to_vec();
     let n = sides.len();
     let mut done = 0;
     while done < swaps {
@@ -125,5 +140,42 @@ fn bench_fm_repass_planted(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_fm_repass_by_density, bench_fm_repass_planted);
+fn bench_fm_repass_100k(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fm-repass-100k");
+    group.sample_size(10);
+    let params = gnp::GnpParams::with_average_degree(100_000, 3.0).expect("valid parameters");
+    let g = gnp::sample(&mut LaggedFibonacci::seed_from_u64(7), &params);
+    let g = reorder::bfs(&g).apply(&g);
+    let mut rng = LaggedFibonacci::seed_from_u64(11);
+    let converged = Pipeline::multilevel(BoundaryFm::new()).bisect(&g, &mut rng);
+    let init = perturbed(&g, &converged, 10, &mut rng);
+    let bfm = BoundaryFm::new();
+    group.bench_with_input(BenchmarkId::new("projected", 3), &g, |b, g| {
+        let mut ws = Workspace::new();
+        b.iter(|| {
+            let mut rng = LaggedFibonacci::seed_from_u64(1);
+            ws.prepare_gain_cache(g, &init);
+            std::hint::black_box(
+                bfm.refine_projected_counted(g, init.clone(), &mut rng, &mut ws)
+                    .0
+                    .cut(),
+            )
+        });
+    });
+    bench_repass(
+        &mut group,
+        BenchmarkId::new("unbounded", 3),
+        &bfm,
+        &g,
+        &init,
+    );
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_fm_repass_by_density,
+    bench_fm_repass_planted,
+    bench_fm_repass_100k
+);
 criterion_main!(benches);

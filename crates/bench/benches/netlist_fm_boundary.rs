@@ -18,7 +18,13 @@
 //!   can chain interior zero-gain moves), either can come out ahead.
 //! * `netlist-fm-repass-100k/*` — one 10^5-cell locality-clustered
 //!   instance, the scale where the per-pass full scan dominates
-//!   re-refinement cost outright. The full multilevel payoff
+//!   re-refinement cost outright. `boundary-projected` enters as an
+//!   uncoarsening level does
+//!   ([`NetlistRefiner::refine_projected_counted`]), so each pass ends
+//!   after `max(1024, cells/8)` moves that do not improve its best
+//!   prefix; `boundary` enters through
+//!   [`NetlistRefiner::refine_counted`], whose passes run until the
+//!   lazily reached component is exhausted. The full multilevel payoff
 //!   (projection replacing every per-level cache rebuild) is measured
 //!   end-to-end by `repro --huge-netlist-smoke`, not here.
 
@@ -126,6 +132,23 @@ fn bench_netlist_repass_100k(c: &mut Criterion) {
         &NetlistFm::new(),
         &nl,
         &init,
+    );
+    group.bench_with_input(
+        BenchmarkId::new("boundary-projected", "g1.8-loc5"),
+        &nl,
+        |b, nl| {
+            let fm = NetlistFm::new();
+            let mut ws = Workspace::new();
+            b.iter(|| {
+                let mut rng = LaggedFibonacci::seed_from_u64(1);
+                ws.prepare_netlist_cache(nl, &init);
+                std::hint::black_box(
+                    fm.refine_projected_counted(nl, &[], init.clone(), &mut rng, &mut ws)
+                        .0
+                        .cut(),
+                )
+            });
+        },
     );
     group.finish();
 }

@@ -18,8 +18,8 @@
 //!    [`ParallelCellMatching`](bisect_core::netlist::ParallelCellMatching)
 //!    coarsening through the allocation-free
 //!    [`contract_cells_into`](bisect_graph::hypergraph::contract_cells_into)
-//!    (one scratch arena serves the whole ladder), a random balanced
-//!    start plus serial hill-crossing
+//!    (one scratch arena serves the whole ladder), a weight-balanced
+//!    random start plus serial hill-crossing
 //!    [`NetlistFm`](bisect_core::netlist::NetlistFm) on the coarsest
 //!    netlist, then *boundary-localized* uncoarsening: the workspace
 //!    [`NetlistGainCache`](bisect_core::netlist::NetlistGainCache) is
@@ -109,10 +109,7 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
             format!("rent cells={cells} nets={nets} gamma={GAMMA} loc=1"),
         ),
     ] {
-        let seed = derive_seed(profile.seed, &[41, cells as u64, which]);
-        let mut gen_rng = LaggedFibonacci::seed_from_u64(seed);
-        let params = RentNetlistParams::new(cells, nets, 8.min(cells), GAMMA, locality)?;
-        let nl = sample_streamed(&mut gen_rng, &params);
+        let (nl, seed) = instance(profile, which, locality)?;
         let begin = Instant::now();
         let outcome = bisect_huge_netlist(&nl, seed ^ 0xABCD, threads);
         let elapsed = begin.elapsed();
@@ -160,6 +157,16 @@ pub fn run(profile: &Profile) -> Result<ExperimentResult, BenchError> {
         tables: vec![table],
         records,
     })
+}
+
+/// The profile's instance number `which` at the given net locality,
+/// with the seed its bisection derives from.
+fn instance(profile: &Profile, which: u64, locality: f64) -> Result<(Netlist, u64), BenchError> {
+    let (cells, nets) = profile.huge_netlist_shape();
+    let seed = derive_seed(profile.seed, &[41, cells as u64, which]);
+    let mut gen_rng = LaggedFibonacci::seed_from_u64(seed);
+    let params = RentNetlistParams::new(cells, nets, 8.min(cells), GAMMA, locality)?;
+    Ok((sample_streamed(&mut gen_rng, &params), seed))
 }
 
 /// Result of one huge netlist bisection.
@@ -215,10 +222,13 @@ fn bisect_huge_netlist(nl: &Netlist, seed: u64, threads: usize) -> HugeNetlistOu
     // sets the basin every finer level refines within, so it gets the
     // serial FM refiner — whose pass mechanics cross gain hills —
     // rather than the strictly greedy parallel one. Its run leaves
-    // `ws.netlist_cache` exact for the bisection it returns.
+    // `ws.netlist_cache` exact for the bisection it returns. The start
+    // is balanced by cell weight: coarse cells are weighted, and a
+    // count-balanced start lies outside the refiners' pass tolerance,
+    // so neither refiner would move a cell.
     let refine_begin = Instant::now();
     let coarsest = current_netlist(&nlr, &ladder);
-    let p = NetlistBisection::random_balanced(coarsest, &mut rng);
+    let p = NetlistBisection::weight_balanced_random(coarsest, &mut rng);
     let mut rounds = 0u64;
     let mut dummy = LaggedFibonacci::seed_from_u64(0);
     let fm = NetlistFm::new();
@@ -315,6 +325,28 @@ mod tests {
         assert_eq!(a.cut, b.cut);
         assert_eq!(a.rounds, b.rounds);
         assert_eq!(a.proposals, b.proposals);
+    }
+
+    #[test]
+    fn ladder_beats_the_line_split_on_the_local_instances() {
+        // Oracle gate: with nets confined to 2% windows of the cell
+        // line, splitting the line in the middle (cells < n/2 vs ≥ n/2)
+        // cuts only the nets straddling it. A ladder that refines at
+        // all must beat that trivial split on the experiment's own
+        // locality instances (10^4 and 10^5 cells).
+        for profile in [Profile::quick(), Profile::huge_smoke()] {
+            let (nl, seed) = instance(&profile, 0, 0.02).unwrap();
+            let n = nl.num_cells();
+            let line = NetlistBisection::from_sides(&nl, (0..n).map(|c| c >= n / 2).collect())
+                .expect("one side per cell");
+            let outcome = bisect_huge_netlist(&nl, seed ^ 0xABCD, 2);
+            assert!(
+                outcome.cut < line.cut(),
+                "{n} cells: ladder cut {} vs line split {}",
+                outcome.cut,
+                line.cut()
+            );
+        }
     }
 
     #[test]

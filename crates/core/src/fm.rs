@@ -16,12 +16,19 @@
 //! inserting all `V` vertices into the gain buckets each pass, it seeds
 //! them with only the current *boundary* (vertices with a cut edge,
 //! tracked incrementally by [`crate::gain_cache::GainCache`]) and pulls
-//! interior vertices in lazily as moves reach them — a pass costs
-//! `O(boundary + touched)` instead of `O(V)`, which is the multilevel
-//! win once coarsening has shrunk the cut region to a sliver of the
-//! graph. It also implements the projected-cache protocol
+//! interior vertices in lazily as moves reach them. It also implements
+//! the projected-cache protocol
 //! ([`crate::bisector::Refiner::refine_projected_counted`]) so
-//! uncoarsening ladders never rebuild its gain state per level.
+//! uncoarsening ladders never rebuild its gain state per level. Left
+//! alone, the lazy pulls flood the whole connected component even
+//! though a projected start needs only a short prefix, so a pass on a
+//! projected start also stops once `max(1024, V/8)` consecutive moves
+//! have not improved its best balanced prefix (the classic FM early
+//! exit, [`stall_limit`]): it makes `O(best prefix + max(1024, V/8))`
+//! tentative moves instead of `O(component)`, which is the multilevel
+//! win once coarsening has shrunk the cut region to a sliver of the
+//! graph. Passes from any other start run to exhaustion, since they
+//! may need long hill-crossing runs.
 
 use bisect_graph::Graph;
 use rand::RngCore;
@@ -30,6 +37,24 @@ use crate::bisector::{Bisector, Refiner};
 use crate::partition::{fm_tolerances, Bisection, Side};
 use crate::seed;
 use crate::workspace::Workspace;
+
+/// The fewest consecutive non-improving moves after which a bounded
+/// pass gives up: any level of at most this many vertices (or cells)
+/// runs its passes to exhaustion.
+const STALL_FLOOR: usize = 1024;
+
+/// The stall bound of a boundary-FM pass refining a projected start on
+/// a level of `n` vertices (or cells): the pass ends once
+/// `max(1024, n/8)` consecutive moves have not improved its best
+/// balanced prefix. Sized from the largest gap measured between
+/// successive improvements of such passes on the benchmark ladders —
+/// 3.3% of `n` at 2.5·10^5 vertices, 6.8% at 10^5 cells, 9.5% at
+/// 1.5·10^4 — so the bound cuts the pass short without moving its
+/// committed prefix there. Random starts are not bounded: their gaps
+/// reach 40% of `n` at the coarsest level of a 10^5-cell ladder.
+pub(crate) fn stall_limit(n: usize) -> usize {
+    (n / 8).max(STALL_FLOOR)
+}
 
 /// The FM bisection algorithm.
 ///
@@ -125,11 +150,10 @@ impl FiducciaMattheyses {
         let locked = &mut ws.locked;
         ws.fm_moves.clear();
         let moves = &mut ws.fm_moves;
-        ws.fm_cumulative.clear();
-        let cumulative = &mut ws.fm_cumulative;
-        ws.fm_balanced.clear();
-        let balanced_after = &mut ws.fm_balanced;
         let mut running = 0i64;
+        // Best prefix that ends balanced with positive improvement:
+        // (moves in it, its gain); the first of equal gains wins.
+        let mut best = (0usize, 0i64);
 
         for _ in 0..n {
             // Candidate per side: its best-gain unlocked vertex, kept
@@ -169,8 +193,9 @@ impl FiducciaMattheyses {
             work.move_vertex(g, v);
             running += gain;
             moves.push(v);
-            cumulative.push(running);
-            balanced_after.push(work.weight_imbalance() <= base_tol);
+            if running > best.1 && work.weight_imbalance() <= base_tol {
+                best = (moves.len(), running);
+            }
 
             for (u, w) in g.neighbors_weighted(v) {
                 if locked[u as usize] {
@@ -190,16 +215,12 @@ impl FiducciaMattheyses {
             }
         }
 
-        // Best prefix that ends balanced with positive improvement.
-        let mut best: Option<(usize, i64)> = None;
-        for (i, (&c, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
-            if ok && c > 0 && best.is_none_or(|(_, bc)| c > bc) {
-                best = Some((i, c));
-            }
+        let (committed, best_gain) = best;
+        if committed == 0 {
+            return 0;
         }
-        let Some((k, best_gain)) = best else { return 0 };
         let before = p.cut();
-        for &v in &moves[..=k] {
+        for &v in &moves[..committed] {
             p.move_vertex(g, v);
         }
         debug_assert_eq!(p.cut(), p.recompute_cut(g));
@@ -259,10 +280,13 @@ impl Refiner for FiducciaMattheyses {
 /// [`FiducciaMattheyses`] (best-gain single moves under the pass
 /// tolerance, best balanced prefix, passes to a fixpoint), but each
 /// pass seeds the gain buckets from the incrementally tracked cut
-/// boundary instead of all of `V`, and cleans up only what it touched.
-/// A separately tested refinement mode — not bit-identical to the
-/// pinned full-scan FM (it visits candidates in boundary order), but
-/// deterministic and subject to the same invariants.
+/// boundary instead of all of `V`, and cleans up only what it touched;
+/// on a projected start ([`Refiner::refine_projected_counted`]) a pass
+/// also ends after `max(1024, V/8)` consecutive moves that do not
+/// improve its best prefix. A separately tested refinement mode — not
+/// bit-identical to the pinned full-scan FM (it visits candidates in
+/// boundary order), but deterministic and subject to the same
+/// invariants.
 ///
 /// # Example
 ///
@@ -279,6 +303,10 @@ impl Refiner for FiducciaMattheyses {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundaryFm {
     max_passes: usize,
+    /// Replaces [`stall_limit`] in tests (`usize::MAX` is the unbounded
+    /// reference pass).
+    #[cfg(test)]
+    stall_override: Option<usize>,
 }
 
 impl Default for BoundaryFm {
@@ -291,7 +319,11 @@ impl BoundaryFm {
     /// Boundary FM with passes run to a fixpoint (bounded by a safety
     /// cap).
     pub fn new() -> BoundaryFm {
-        BoundaryFm { max_passes: 64 }
+        BoundaryFm {
+            max_passes: 64,
+            #[cfg(test)]
+            stall_override: None,
+        }
     }
 
     /// Limits the number of passes.
@@ -305,40 +337,43 @@ impl BoundaryFm {
         self
     }
 
+    /// The same refiner with its projected-start passes bounded by
+    /// `limit` instead of [`stall_limit`].
+    #[cfg(test)]
+    pub(crate) fn with_stall_limit(mut self, limit: usize) -> BoundaryFm {
+        self.stall_override = Some(limit);
+        self
+    }
+
+    /// The stall bound of a pass refining a projected start on `n`
+    /// vertices.
+    fn projected_limit(&self, n: usize) -> usize {
+        #[cfg(test)]
+        if let Some(limit) = self.stall_override {
+            return limit;
+        }
+        stall_limit(n)
+    }
+
     /// Runs passes to a fixpoint assuming `ws.gain_cache` is already
-    /// exact for `(g, p)`; leaves it exact for the refined `p`.
-    /// Returns the number of productive passes.
-    fn refine_with_cache(&self, g: &Graph, p: &mut Bisection, ws: &mut Workspace) -> u64 {
-        let n = g.num_vertices();
-        if n < 2 {
+    /// exact for `(g, p)`; leaves it exact for the refined `p`. Each
+    /// pass ends after `limit` moves that do not improve its best
+    /// prefix (`usize::MAX`: never). Returns the number of productive
+    /// passes.
+    fn refine_with_cache(
+        &self,
+        g: &Graph,
+        p: &mut Bisection,
+        ws: &mut Workspace,
+        limit: usize,
+    ) -> u64 {
+        if g.num_vertices() < 2 {
             return 0;
         }
-        // Same tolerances as the full-scan pass (see pass_in).
-        let (base_tol, pass_tol) = fm_tolerances(g);
-        let max_wdeg = g
-            .vertices()
-            .map(|v| g.weighted_degree(v))
-            .max()
-            .unwrap_or(0)
-            .min(i64::MAX as u64) as i64;
-
-        // One-time O(V) setup per refine call; each pass afterwards
-        // touches only boundary + reached vertices.
-        for b in ws.fm_buckets.iter_mut() {
-            b.reset(n, max_wdeg);
-        }
-        if let Some(w) = ws.fm_work.as_mut() {
-            w.copy_from(p);
-        } else {
-            ws.fm_work = Some(p.clone());
-        }
-        ws.locked.clear();
-        ws.locked.resize(n, false);
-        ws.fm_touched.clear();
-
+        let tols = prepare(g, p, ws);
         let mut productive = 0u64;
         for _ in 0..self.max_passes {
-            if self.pass_with_cache(g, p, ws, base_tol, pass_tol) == 0 {
+            if self.pass_with_cache(g, p, ws, tols, limit) == 0 {
                 break;
             }
             productive += 1;
@@ -346,9 +381,11 @@ impl BoundaryFm {
         productive
     }
 
-    /// One boundary-seeded pass. On entry and exit: `ws.gain_cache` is
-    /// exact for `(g, p)`, `ws.fm_work` mirrors `p`, `ws.fm_buckets`
-    /// are empty, `ws.locked` is all-false, `ws.fm_touched` is empty.
+    /// One boundary-seeded pass, ended early once `limit` consecutive
+    /// moves have not improved its best prefix. On entry and exit:
+    /// `ws.gain_cache` is exact for `(g, p)`, `ws.fm_work` mirrors `p`,
+    /// `ws.fm_buckets` are empty, `ws.locked` is all-false,
+    /// `ws.fm_touched` is empty; `ws.fm_moves` holds the pass's moves.
     // lint: allow(no-panic) — pass-loop expects: refine_with_cache populated
     // fm_work before any pass, and `choice` is Some only when that bucket
     // had a peek.
@@ -357,8 +394,8 @@ impl BoundaryFm {
         g: &Graph,
         p: &mut Bisection,
         ws: &mut Workspace,
-        base_tol: u64,
-        pass_tol: u64,
+        (base_tol, pass_tol): (u64, u64),
+        limit: usize,
     ) -> u64 {
         let cache = &ws.gain_cache;
         let buckets = &mut ws.fm_buckets;
@@ -375,13 +412,12 @@ impl BoundaryFm {
         let locked = &mut ws.locked;
         ws.fm_moves.clear();
         let moves = &mut ws.fm_moves;
-        ws.fm_cumulative.clear();
-        let cumulative = &mut ws.fm_cumulative;
-        ws.fm_balanced.clear();
-        let balanced_after = &mut ws.fm_balanced;
         let mut running = 0i64;
+        // Best prefix that ends balanced with positive improvement:
+        // (moves in it, its gain); the first of equal gains wins.
+        let mut best = (0usize, 0i64);
 
-        loop {
+        while moves.len() - best.0 < limit {
             // Identical candidate choice to the full-scan pass: best
             // gain within the pass tolerance, ties toward the heavier
             // side.
@@ -420,8 +456,9 @@ impl BoundaryFm {
             work.move_vertex_with_gain(g, v, gain);
             running += gain;
             moves.push(v);
-            cumulative.push(running);
-            balanced_after.push(work.weight_imbalance() <= base_tol);
+            if running > best.1 && work.weight_imbalance() <= base_tol {
+                best = (moves.len(), running);
+            }
 
             for (u, w) in g.neighbors_weighted(v) {
                 if locked[u as usize] {
@@ -446,17 +483,7 @@ impl BoundaryFm {
             }
         }
 
-        // Best prefix that ends balanced with positive improvement.
-        let mut best: Option<(usize, i64)> = None;
-        for (i, (&c, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
-            if ok && c > 0 && best.is_none_or(|(_, bc)| c > bc) {
-                best = Some((i, c));
-            }
-        }
-        let committed = match best {
-            Some((k, _)) => k + 1,
-            None => 0,
-        };
+        let committed = best.0;
         let before = p.cut();
         let cache = &mut ws.gain_cache;
         for &v in &moves[..committed] {
@@ -486,6 +513,32 @@ impl BoundaryFm {
         debug_assert!(before >= p.cut());
         before - p.cut()
     }
+}
+
+/// One-time O(V) setup per boundary-FM refine call (each pass
+/// afterwards touches only boundary + reached vertices): tolerances,
+/// bucket reset, work mirror, locked/touched clearing.
+fn prepare(g: &Graph, p: &Bisection, ws: &mut Workspace) -> (u64, u64) {
+    let n = g.num_vertices();
+    let max_wdeg = g
+        .vertices()
+        .map(|v| g.weighted_degree(v))
+        .max()
+        .unwrap_or(0)
+        .min(i64::MAX as u64) as i64;
+    for b in ws.fm_buckets.iter_mut() {
+        b.reset(n, max_wdeg);
+    }
+    if let Some(w) = ws.fm_work.as_mut() {
+        w.copy_from(p);
+    } else {
+        ws.fm_work = Some(p.clone());
+    }
+    ws.locked.clear();
+    ws.locked.resize(n, false);
+    ws.fm_touched.clear();
+    // Same tolerances as the full-scan pass (see pass_in).
+    fm_tolerances(g)
 }
 
 impl Bisector for BoundaryFm {
@@ -527,7 +580,10 @@ impl Refiner for BoundaryFm {
         if g.num_vertices() >= 2 {
             ws.gain_cache.init(g, &init);
         }
-        let passes = self.refine_with_cache(g, &mut init, ws);
+        // An arbitrary start may need long hill-crossing runs: at the
+        // coarsest level of a ladder, passes from a random start
+        // improve after gaps of up to 40% of the vertices.
+        let passes = self.refine_with_cache(g, &mut init, ws, usize::MAX);
         (init, passes)
     }
 
@@ -542,7 +598,8 @@ impl Refiner for BoundaryFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (Bisection, u64) {
-        let passes = self.refine_with_cache(g, &mut init, ws);
+        let limit = self.projected_limit(g.num_vertices());
+        let passes = self.refine_with_cache(g, &mut init, ws, limit);
         (init, passes)
     }
 }
@@ -551,6 +608,7 @@ impl Refiner for BoundaryFm {
 mod tests {
     use super::*;
     use bisect_gen::special;
+    use bisect_graph::VertexId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -731,6 +789,148 @@ mod tests {
         let p = BoundaryFm::new().refine(coarse, init, &mut rng);
         assert!(p.is_balanced(coarse));
         assert_eq!(p.cut(), p.recompute_cut(coarse));
+    }
+
+    /// Replays `moves` on `start`: the first of the largest positive
+    /// cut improvements among the prefixes that end within `base_tol`,
+    /// as (moves in it, its improvement) — `(0, 0)` if none improves.
+    fn best_explored_prefix(
+        g: &Graph,
+        start: &Bisection,
+        moves: &[VertexId],
+        base_tol: u64,
+    ) -> (usize, i64) {
+        let mut q = start.clone();
+        let mut best = (0, 0);
+        for (i, &v) in moves.iter().enumerate() {
+            q.move_vertex(g, v);
+            let gain = start.cut() as i64 - q.cut() as i64;
+            if gain > best.1 && q.weight_imbalance() <= base_tol {
+                best = (i + 1, gain);
+            }
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Passes bounded to a small stall limit, run to a fixpoint on
+        /// one workspace: each explores a prefix of the unbounded
+        /// reference pass from the same state, stops only when it runs
+        /// dry or `limit` moves past its best prefix, commits exactly
+        /// the best balanced positive prefix of what it explored, never
+        /// raises the cut, and leaves the gain cache exact.
+        #[test]
+        fn bounded_pass_commits_the_best_explored_prefix(
+            n in 4usize..120,
+            degree in 1usize..5,
+            levels in 0usize..3,
+            graph_seed in 0u64..10_000,
+            start_seed in 0u64..10_000,
+            limit in 1usize..16,
+        ) {
+            let g = crate::partition::testutil::weighted_coarse_graph(
+                n, n * degree, levels, graph_seed,
+            );
+            let mut p = seed::weight_balanced_random(&g, &mut StdRng::seed_from_u64(start_seed));
+            let bfm = BoundaryFm::new();
+            let mut ws = Workspace::new();
+            ws.gain_cache.init(&g, &p);
+            let tols = prepare(&g, &p, &mut ws);
+            let base_tol = tols.0;
+            let mut ref_ws = Workspace::new();
+            for _ in 0..64 {
+                let start = p.clone();
+                let mut reference = start.clone();
+                // The cache's boundary order (the bucket seeding order)
+                // follows its move history, so the reference starts
+                // from a copy.
+                ref_ws.gain_cache = ws.gain_cache.clone();
+                prepare(&g, &reference, &mut ref_ws);
+                let ref_gain = bfm.pass_with_cache(
+                    &g, &mut reference, &mut ref_ws, tols, usize::MAX,
+                );
+                let gain = bfm.pass_with_cache(&g, &mut p, &mut ws, tols, limit);
+
+                let moves = &ws.fm_moves;
+                let ref_moves = &ref_ws.fm_moves;
+                proptest::prop_assert!(ref_moves.starts_with(moves));
+                let (k, best_gain) = best_explored_prefix(&g, &start, moves, base_tol);
+                proptest::prop_assert!(moves.len() - k <= limit);
+                if moves.len() < ref_moves.len() {
+                    proptest::prop_assert_eq!(moves.len() - k, limit);
+                }
+                proptest::prop_assert_eq!(gain, best_gain as u64);
+                let mut expected = start.clone();
+                for &v in &moves[..k] {
+                    expected.move_vertex(&g, v);
+                }
+                proptest::prop_assert_eq!(&p, &expected);
+                proptest::prop_assert_eq!(p.cut(), p.recompute_cut(&g));
+                proptest::prop_assert!(gain == 0 || p.weight_imbalance() <= base_tol);
+                for v in g.vertices() {
+                    proptest::prop_assert_eq!(ws.gain_cache.gain(v), p.gain(&g, v));
+                }
+                // Having explored the reference's best prefix, the
+                // bounded pass commits the same one.
+                let (ref_k, _) = best_explored_prefix(&g, &start, ref_moves, base_tol);
+                if ref_k <= moves.len() {
+                    proptest::prop_assert_eq!(&p, &reference);
+                    proptest::prop_assert_eq!(gain, ref_gain);
+                }
+                if gain == 0 {
+                    break;
+                }
+            }
+        }
+
+        /// A limit of at least `n` never ends a pass early: refining a
+        /// projected start is bit-identical to the unbounded reference.
+        #[test]
+        fn limit_of_n_matches_the_unbounded_reference(
+            n in 2usize..120,
+            degree in 1usize..5,
+            levels in 0usize..3,
+            graph_seed in 0u64..10_000,
+            start_seed in 0u64..10_000,
+            extra in 0usize..3,
+        ) {
+            let g = crate::partition::testutil::weighted_coarse_graph(
+                n, n * degree, levels, graph_seed,
+            );
+            let init = seed::weight_balanced_random(&g, &mut StdRng::seed_from_u64(start_seed));
+            let mut rng = StdRng::seed_from_u64(0);
+            let mut run = |bfm: BoundaryFm| {
+                let mut ws = Workspace::new();
+                ws.prepare_gain_cache(&g, &init);
+                bfm.refine_projected_counted(&g, init.clone(), &mut rng, &mut ws)
+            };
+            let bounded = run(BoundaryFm::new().with_stall_limit(g.num_vertices() + extra));
+            let reference = run(BoundaryFm::new().with_stall_limit(usize::MAX));
+            proptest::prop_assert_eq!(bounded, reference);
+        }
+    }
+
+    #[test]
+    fn bounded_multilevel_matches_the_unbounded_reference_above_the_floor() {
+        // Finest level 2·10^4 vertices: its passes are bounded by
+        // 2 500 moves and end after ~3 300 of the ~17 700 the unbounded
+        // passes make, yet commit the same prefixes.
+        use crate::pipeline::Pipeline;
+        use bisect_gen::gnp::{self, GnpParams};
+        let params = GnpParams::with_average_degree(20_000, 3.0).unwrap();
+        let g = gnp::sample(&mut StdRng::seed_from_u64(0), &params);
+        let gr = bisect_graph::reorder::bfs(&g).apply(&g);
+        let mut ws = Workspace::new();
+        let mut run = |bfm: BoundaryFm| {
+            Pipeline::multilevel(bfm).bisect_counted(&gr, &mut StdRng::seed_from_u64(7), &mut ws)
+        };
+        let (bounded, bounded_passes) = run(BoundaryFm::new());
+        let (reference, reference_passes) = run(BoundaryFm::new().with_stall_limit(usize::MAX));
+        assert_eq!(bounded.cut(), reference.cut());
+        assert_eq!(bounded_passes, reference_passes);
+        assert_eq!(bounded, reference);
     }
 
     #[test]

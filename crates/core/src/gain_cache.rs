@@ -50,7 +50,7 @@ use crate::partition::{Bisection, Side};
 ///
 /// All storage is retained across runs (`init` only grows buffers), so
 /// a workspace-resident cache allocates nothing after warm-up.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GainCache {
     /// `gains[v]` = weight of v's cross edges − weight of v's internal
     /// edges, for the bisection the cache was initialized against.

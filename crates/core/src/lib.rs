@@ -85,7 +85,6 @@ pub(crate) mod gain;
 pub mod gain_cache;
 pub mod greedy;
 pub mod kl;
-pub mod metrics;
 pub mod netlist;
 pub mod par_fm;
 pub mod partition;

@@ -6,8 +6,14 @@
 //! incrementally tracked cell boundary ([`NetlistGainCache`]) instead
 //! of all cells: an interior cell has only uncut nets, hence gain
 //! `≤ 0`, and can only become worth moving after a net-mate moves — at
-//! which point the update loop inserts it lazily. A pass costs
-//! `O(boundary + touched pins)` instead of `O(cells + pins)`.
+//! which point the update loop inserts it lazily. Those lazy inserts
+//! would flood the whole connected component, so a pass on a projected
+//! start ([`NetlistRefiner::refine_projected_counted`]) also ends once
+//! `max(1024, cells/8)` consecutive moves have not improved its best
+//! balanced prefix (the graph side's [`crate::fm::stall_limit`]): it
+//! makes `O(best prefix + max(1024, cells/8))` tentative moves, each
+//! costing its cell's pins, instead of `O(component)`. Passes from any
+//! other start run to exhaustion.
 //!
 //! [`CompactedNetlistFm`] and [`MultilevelNetlistFm`] are thin presets
 //! over [`super::NetlistPipeline`] (one compaction level / a full
@@ -16,6 +22,7 @@
 use bisect_graph::hypergraph::Netlist;
 use rand::RngCore;
 
+use crate::fm::stall_limit;
 use crate::partition::Side;
 use crate::pipeline::{CoarsenDepth, DEFAULT_COARSEST_SIZE};
 use crate::workspace::Workspace;
@@ -44,6 +51,10 @@ use super::{fm_tolerances, gain_term, NetlistBisection, NetlistPipeline, Netlist
 pub struct NetlistFm {
     max_passes: usize,
     full_scan: bool,
+    /// Replaces [`stall_limit`] in tests (`usize::MAX` is the unbounded
+    /// reference pass).
+    #[cfg(test)]
+    stall_override: Option<usize>,
 }
 
 impl Default for NetlistFm {
@@ -58,16 +69,19 @@ impl NetlistFm {
         NetlistFm {
             max_passes: 64,
             full_scan: false,
+            #[cfg(test)]
+            stall_override: None,
         }
     }
 
     /// Seeds every pass's gain buckets from *all* cells instead of the
-    /// tracked cut boundary — the reference `O(cells + pins)` seeding
-    /// the boundary-localized default replaces. A full-scan pass can
-    /// also chain zero- and negative-gain moves from interior cells, so
+    /// tracked cut boundary, and runs every pass to exhaustion, also on
+    /// projected starts — the reference `O(cells + pins)` pass the
+    /// boundary-localized default replaces. A full-scan pass can also
+    /// chain zero- and negative-gain moves from interior cells, so
     /// results may differ from (not just match more slowly than) the
-    /// boundary-seeded passes; the `netlist_fm_boundary` bench compares
-    /// the two on near-converged re-refinement.
+    /// boundary-seeded passes; the `netlist_fm_boundary` bench
+    /// compares the two on near-converged re-refinement.
     pub fn with_full_scan(mut self) -> NetlistFm {
         self.full_scan = true;
         self
@@ -84,9 +98,31 @@ impl NetlistFm {
         self
     }
 
+    /// The same refiner with its projected-start passes bounded by
+    /// `limit` instead of [`stall_limit`].
+    #[cfg(test)]
+    pub(crate) fn with_stall_limit(mut self, limit: usize) -> NetlistFm {
+        self.stall_override = Some(limit);
+        self
+    }
+
+    /// The stall bound of a pass refining a projected start on `cells`
+    /// cells.
+    fn projected_limit(&self, cells: usize) -> usize {
+        #[cfg(test)]
+        if let Some(limit) = self.stall_override {
+            return limit;
+        }
+        if self.full_scan {
+            usize::MAX
+        } else {
+            stall_limit(cells)
+        }
+    }
+
     /// Bisects from a weight-balanced random start.
     pub fn bisect(&self, nl: &Netlist, rng: &mut dyn RngCore) -> NetlistBisection {
-        let init = super::weight_balanced_random(nl, rng);
+        let init = NetlistBisection::weight_balanced_random(nl, rng);
         self.refine(nl, init)
     }
 
@@ -100,7 +136,7 @@ impl NetlistFm {
         if nl.num_cells() >= 2 {
             ws.netlist_cache.init(nl, &init);
         }
-        self.refine_with_cache(nl, &[], &mut init, &mut ws);
+        self.refine_with_cache(nl, &[], &mut init, &mut ws, usize::MAX);
         init
     }
 
@@ -114,28 +150,30 @@ impl NetlistFm {
         }
         let mut ws = Workspace::new();
         ws.netlist_cache.init(nl, p);
-        let (base_tol, pass_tol) = prepare(nl, p, &mut ws);
-        self.pass_with_cache(nl, &[], p, &mut ws, base_tol, pass_tol)
+        let tols = prepare(nl, p, &mut ws);
+        self.pass_with_cache(nl, &[], p, &mut ws, tols, usize::MAX)
     }
 
     /// Runs passes to a fixpoint assuming `ws.netlist_cache` is already
-    /// exact for `(nl, p)`; leaves it exact for the refined `p`.
-    /// Returns the number of productive passes. Cells flagged in
-    /// `fixed` never move.
+    /// exact for `(nl, p)`; leaves it exact for the refined `p`. Each
+    /// pass ends after `limit` moves that do not improve its best
+    /// prefix (`usize::MAX`: never). Returns the number of productive
+    /// passes. Cells flagged in `fixed` never move.
     fn refine_with_cache(
         &self,
         nl: &Netlist,
         fixed: &[bool],
         p: &mut NetlistBisection,
         ws: &mut Workspace,
+        limit: usize,
     ) -> u64 {
         if nl.num_cells() < 2 {
             return 0;
         }
-        let (base_tol, pass_tol) = prepare(nl, p, ws);
+        let tols = prepare(nl, p, ws);
         let mut productive = 0u64;
         for _ in 0..self.max_passes {
-            if self.pass_with_cache(nl, fixed, p, ws, base_tol, pass_tol) == 0 {
+            if self.pass_with_cache(nl, fixed, p, ws, tols, limit) == 0 {
                 break;
             }
             productive += 1;
@@ -143,10 +181,12 @@ impl NetlistFm {
         productive
     }
 
-    /// One boundary-seeded pass. On entry and exit: `ws.netlist_cache`
-    /// is exact for `(nl, p)`, `ws.netlist_work` mirrors `p`,
-    /// `ws.fm_buckets` are empty, `ws.locked` is all-false,
-    /// `ws.fm_touched` is empty.
+    /// One boundary-seeded pass, ended early once `limit` consecutive
+    /// moves have not improved its best prefix. On entry and exit:
+    /// `ws.netlist_cache` is exact for `(nl, p)`, `ws.netlist_work`
+    /// mirrors `p`, `ws.fm_buckets` are empty, `ws.locked` is
+    /// all-false, `ws.fm_touched` is empty; `ws.fm_moves` holds the
+    /// pass's moves.
     // lint: allow(no-panic) — pass-loop expects: prepare() populated
     // netlist_work before any pass, `choice` is Some only when that bucket
     // had a peek, and the same Option is re-unwrapped at rollback.
@@ -156,8 +196,8 @@ impl NetlistFm {
         fixed: &[bool],
         p: &mut NetlistBisection,
         ws: &mut Workspace,
-        base_tol: u64,
-        pass_tol: u64,
+        (base_tol, pass_tol): (u64, u64),
+        limit: usize,
     ) -> u64 {
         let is_fixed = |c: u32| fixed.get(c as usize).copied().unwrap_or(false);
         let cache = &ws.netlist_cache;
@@ -188,13 +228,12 @@ impl NetlistFm {
         let locked = &mut ws.locked;
         ws.fm_moves.clear();
         let moves = &mut ws.fm_moves;
-        ws.fm_cumulative.clear();
-        let cumulative = &mut ws.fm_cumulative;
-        ws.fm_balanced.clear();
-        let balanced_after = &mut ws.fm_balanced;
         let mut running = 0i64;
+        // Best prefix that ends balanced with positive improvement:
+        // (moves in it, its gain); the first of equal gains wins.
+        let mut best = (0usize, 0i64);
 
-        loop {
+        while moves.len() - best.0 < limit {
             // Identical candidate choice to the graph FM pass: best
             // gain within the pass tolerance, ties toward the heavier
             // side.
@@ -268,21 +307,12 @@ impl NetlistFm {
             work.move_cell(nl, c);
             running += gain;
             moves.push(c);
-            cumulative.push(running);
-            balanced_after.push(work.weight_imbalance() <= base_tol);
-        }
-
-        // Best prefix that ends balanced with positive improvement.
-        let mut best: Option<(usize, i64)> = None;
-        for (i, (&cum, &ok)) in cumulative.iter().zip(balanced_after.iter()).enumerate() {
-            if ok && cum > 0 && best.is_none_or(|(_, bc)| cum > bc) {
-                best = Some((i, cum));
+            if running > best.1 && work.weight_imbalance() <= base_tol {
+                best = (moves.len(), running);
             }
         }
-        let committed = match best {
-            Some((k, _)) => k + 1,
-            None => 0,
-        };
+
+        let committed = best.0;
         let before = p.cut();
         let cache = &mut ws.netlist_cache;
         for &c in &moves[..committed] {
@@ -362,7 +392,9 @@ impl NetlistRefiner for NetlistFm {
         if nl.num_cells() >= 2 {
             ws.netlist_cache.init(nl, &init);
         }
-        let passes = self.refine_with_cache(nl, fixed, &mut init, ws);
+        // An arbitrary start may need long hill-crossing runs (see
+        // `crate::fm::stall_limit`).
+        let passes = self.refine_with_cache(nl, fixed, &mut init, ws, usize::MAX);
         (init, passes)
     }
 
@@ -378,7 +410,8 @@ impl NetlistRefiner for NetlistFm {
         _rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> (NetlistBisection, u64) {
-        let passes = self.refine_with_cache(nl, fixed, &mut init, ws);
+        let limit = self.projected_limit(nl.num_cells());
+        let passes = self.refine_with_cache(nl, fixed, &mut init, ws, limit);
         (init, passes)
     }
 }
@@ -498,9 +531,10 @@ impl MultilevelNetlistFm {
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{brute_force_cut, two_clusters};
+    use super::super::testutil::{brute_force_cut, two_clusters, weighted_coarse_netlist};
     use super::*;
     use bisect_graph::hypergraph::NetlistBuilder;
+    use bisect_graph::VertexId;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -626,6 +660,162 @@ mod tests {
         assert_eq!(refined.side(0), init.side(0));
         assert_eq!(refined.side(5), init.side(5));
         assert!(refined.cut() <= init.cut());
+    }
+
+    /// Replays `moves` on `start`: the first of the largest positive
+    /// cut improvements among the prefixes that end within `base_tol`,
+    /// as (moves in it, its improvement) — `(0, 0)` if none improves.
+    fn best_explored_prefix(
+        nl: &Netlist,
+        start: &NetlistBisection,
+        moves: &[VertexId],
+        base_tol: u64,
+    ) -> (usize, i64) {
+        let mut q = start.clone();
+        let mut best = (0, 0);
+        for (i, &c) in moves.iter().enumerate() {
+            q.move_cell(nl, c);
+            let gain = start.cut() as i64 - q.cut() as i64;
+            if gain > best.1 && q.weight_imbalance() <= base_tol {
+                best = (i + 1, gain);
+            }
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// Passes bounded to a small stall limit, run to a fixpoint on
+        /// one workspace with some cells fixed: each explores a prefix
+        /// of the unbounded reference pass from the same state, never
+        /// moves a fixed cell, stops only when it runs dry or `limit`
+        /// moves past its best prefix, commits exactly the best
+        /// balanced positive prefix of what it explored, never raises
+        /// the cut, and leaves the gain cache exact.
+        #[test]
+        fn bounded_pass_commits_the_best_explored_prefix(
+            cells in 4usize..120,
+            nets_per_cell in 1usize..3,
+            levels in 0usize..3,
+            netlist_seed in 0u64..10_000,
+            start_seed in 0u64..10_000,
+            fixed_one_in in 0usize..5,
+            limit in 1usize..16,
+        ) {
+            let nl = weighted_coarse_netlist(cells, cells * nets_per_cell, levels, netlist_seed);
+            let mut rng = StdRng::seed_from_u64(start_seed);
+            let fixed: Vec<bool> = nl
+                .cells()
+                .map(|_| fixed_one_in > 0 && rng.gen_range(0..fixed_one_in + 1) == 0)
+                .collect();
+            let mut p = NetlistBisection::weight_balanced_random(&nl, &mut rng);
+            let fm = NetlistFm::new();
+            let mut ws = Workspace::new();
+            ws.netlist_cache.init(&nl, &p);
+            let tols = prepare(&nl, &p, &mut ws);
+            let base_tol = tols.0;
+            let mut ref_ws = Workspace::new();
+            for _ in 0..64 {
+                let start = p.clone();
+                let mut reference = start.clone();
+                // The cache's boundary order (the bucket seeding order)
+                // follows its move history, so the reference starts
+                // from a copy.
+                ref_ws.netlist_cache = ws.netlist_cache.clone();
+                prepare(&nl, &reference, &mut ref_ws);
+                let ref_gain = fm.pass_with_cache(
+                    &nl, &fixed, &mut reference, &mut ref_ws, tols, usize::MAX,
+                );
+                let gain =
+                    fm.pass_with_cache(&nl, &fixed, &mut p, &mut ws, tols, limit);
+
+                let moves = &ws.fm_moves;
+                let ref_moves = &ref_ws.fm_moves;
+                proptest::prop_assert!(ref_moves.starts_with(moves));
+                proptest::prop_assert!(moves.iter().all(|&c| !fixed[c as usize]));
+                let (k, best_gain) = best_explored_prefix(&nl, &start, moves, base_tol);
+                proptest::prop_assert!(moves.len() - k <= limit);
+                if moves.len() < ref_moves.len() {
+                    proptest::prop_assert_eq!(moves.len() - k, limit);
+                }
+                proptest::prop_assert_eq!(gain, best_gain as u64);
+                let mut expected = start.clone();
+                for &c in &moves[..k] {
+                    expected.move_cell(&nl, c);
+                }
+                proptest::prop_assert_eq!(p.sides(), expected.sides());
+                proptest::prop_assert_eq!(p.cut(), p.recompute_cut(&nl));
+                proptest::prop_assert!(gain == 0 || p.weight_imbalance() <= base_tol);
+                for c in nl.cells() {
+                    proptest::prop_assert_eq!(ws.netlist_cache.gain(c), p.gain(&nl, c));
+                }
+                // Having explored the reference's best prefix, the
+                // bounded pass commits the same one.
+                let (ref_k, _) = best_explored_prefix(&nl, &start, ref_moves, base_tol);
+                if ref_k <= moves.len() {
+                    proptest::prop_assert_eq!(p.sides(), reference.sides());
+                    proptest::prop_assert_eq!(gain, ref_gain);
+                }
+                if gain == 0 {
+                    break;
+                }
+            }
+        }
+
+        /// A limit of at least the cell count never ends a pass early:
+        /// refining a projected start is bit-identical to the unbounded
+        /// reference, fixed cells included.
+        #[test]
+        fn limit_of_n_matches_the_unbounded_reference(
+            cells in 2usize..120,
+            nets_per_cell in 1usize..3,
+            levels in 0usize..3,
+            netlist_seed in 0u64..10_000,
+            start_seed in 0u64..10_000,
+            fixed_one_in in 0usize..5,
+            extra in 0usize..3,
+        ) {
+            let nl = weighted_coarse_netlist(cells, cells * nets_per_cell, levels, netlist_seed);
+            let mut rng = StdRng::seed_from_u64(start_seed);
+            let fixed: Vec<bool> = nl
+                .cells()
+                .map(|_| fixed_one_in > 0 && rng.gen_range(0..fixed_one_in + 1) == 0)
+                .collect();
+            let init = NetlistBisection::weight_balanced_random(&nl, &mut rng);
+            let mut run = |fm: NetlistFm| {
+                let mut ws = Workspace::new();
+                ws.netlist_cache.init(&nl, &init);
+                fm.refine_projected_counted(&nl, &fixed, init.clone(), &mut rng, &mut ws)
+            };
+            let bounded = run(NetlistFm::new().with_stall_limit(nl.num_cells() + extra));
+            let reference = run(NetlistFm::new().with_stall_limit(usize::MAX));
+            proptest::prop_assert_eq!(bounded.0.sides(), reference.0.sides());
+            proptest::prop_assert_eq!(bounded.1, reference.1);
+        }
+    }
+
+    #[test]
+    fn bounded_multilevel_matches_the_unbounded_reference_above_the_floor() {
+        // Finest level 2·10^4 cells of a locality-clustered Rent
+        // netlist: its passes are bounded by 2 500 moves, yet the
+        // V-cycle commits the same prefixes as unbounded passes.
+        use bisect_gen::netlist::{sample_streamed, RentNetlistParams};
+        use bisect_graph::hypergraph::{bfs_cell_order, permute_cells};
+        let params = RentNetlistParams::new(20_000, 28_000, 8, 1.8, 0.02).unwrap();
+        let nl = sample_streamed(&mut StdRng::seed_from_u64(0), &params);
+        let nlr = permute_cells(&nl, &bfs_cell_order(&nl));
+        let mut ws = Workspace::new();
+        let mut run = |fm: NetlistFm| {
+            NetlistPipeline::new(CoarsenDepth::ToSize(DEFAULT_COARSEST_SIZE), fm, "NetMLFM")
+                .unwrap()
+                .bisect_counted(&nlr, &mut StdRng::seed_from_u64(7), &mut ws)
+        };
+        let (bounded, bounded_passes) = run(NetlistFm::new());
+        let (reference, reference_passes) = run(NetlistFm::new().with_stall_limit(usize::MAX));
+        assert_eq!(bounded.cut(), reference.cut());
+        assert_eq!(bounded_passes, reference_passes);
+        assert_eq!(bounded.sides(), reference.sides());
     }
 
     #[test]

@@ -141,6 +141,14 @@ impl NetlistBisection {
         })
     }
 
+    /// A random bisection balanced by cell weight: cells in random
+    /// order, each to the currently lighter side. On weighted (e.g.
+    /// coarsened) cells this is the start the FM refiners accept; a
+    /// count-balanced start can lie outside their pass tolerance.
+    pub fn weight_balanced_random<R: Rng + ?Sized>(nl: &Netlist, rng: &mut R) -> NetlistBisection {
+        weight_balanced_random_fixed(nl, &[], rng)
+    }
+
     /// A uniformly random cell-count-balanced bisection.
     pub fn random_balanced<R: Rng + ?Sized>(nl: &Netlist, rng: &mut R) -> NetlistBisection {
         let n = nl.num_cells();
@@ -449,16 +457,7 @@ impl Moves for NetlistMoves<'_> {
     }
 }
 
-/// A random bisection balanced by cell weight (greedy lighter-side
-/// assignment in random order).
-pub(crate) fn weight_balanced_random<R: Rng + ?Sized>(
-    nl: &Netlist,
-    rng: &mut R,
-) -> NetlistBisection {
-    weight_balanced_random_fixed(nl, &[], rng)
-}
-
-/// As [`weight_balanced_random`], but cells with a `Some(side)` entry
+/// As [`NetlistBisection::weight_balanced_random`], but cells with a `Some(side)` entry
 /// in `fixed` are pinned to that side (and counted toward its weight)
 /// before the movable cells are greedily assigned. An empty slice fixes
 /// nothing; a short slice treats missing entries as movable.
@@ -523,11 +522,39 @@ pub(crate) mod testutil {
         }
         best
     }
+
+    /// A weighted coarse netlist: a random netlist with net weights in
+    /// `1..=3`, contracted through `levels` random cell matchings.
+    pub(crate) fn weighted_coarse_netlist(
+        cells: usize,
+        nets: usize,
+        levels: usize,
+        seed: u64,
+    ) -> Netlist {
+        use bisect_graph::hypergraph::{contract_cells, random_cell_matching};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = NetlistBuilder::new(cells);
+        for _ in 0..nets {
+            let size = rng.gen_range(2..=5usize);
+            let pins: Vec<VertexId> = (0..size)
+                .map(|_| rng.gen_range(0..cells as VertexId))
+                .collect();
+            b.add_weighted_net(&pins, rng.gen_range(1..=3u64)).unwrap();
+        }
+        let mut nl = b.build();
+        for _ in 0..levels {
+            let pairs = random_cell_matching(&nl, &mut rng);
+            nl = contract_cells(&nl, &pairs).coarse().clone();
+        }
+        nl
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::testutil::two_clusters;
+    use super::testutil::{two_clusters, weighted_coarse_netlist};
     use super::*;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
@@ -668,27 +695,6 @@ mod tests {
         moves
     }
 
-    /// A weighted coarse netlist: a random netlist with net weights in
-    /// `1..=3`, contracted through `levels` random cell matchings.
-    fn weighted_coarse_netlist(cells: usize, nets: usize, levels: usize, seed: u64) -> Netlist {
-        use bisect_graph::hypergraph::{contract_cells, random_cell_matching};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut b = NetlistBuilder::new(cells);
-        for _ in 0..nets {
-            let size = rng.gen_range(2..=5usize);
-            let pins: Vec<VertexId> = (0..size)
-                .map(|_| rng.gen_range(0..cells as VertexId))
-                .collect();
-            b.add_weighted_net(&pins, rng.gen_range(1..=3u64)).unwrap();
-        }
-        let mut nl = b.build();
-        for _ in 0..levels {
-            let pairs = random_cell_matching(&nl, &mut rng);
-            nl = contract_cells(&nl, &pairs).coarse().clone();
-        }
-        nl
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(128))]
 
@@ -781,7 +787,7 @@ mod tests {
     #[test]
     fn weight_balanced_random_empty_fixed_is_plain() {
         let nl = two_clusters();
-        let a = weight_balanced_random(&nl, &mut StdRng::seed_from_u64(11));
+        let a = NetlistBisection::weight_balanced_random(&nl, &mut StdRng::seed_from_u64(11));
         let b = weight_balanced_random_fixed(&nl, &[], &mut StdRng::seed_from_u64(11));
         assert_eq!(a, b);
     }

@@ -357,7 +357,6 @@ impl NetlistRefiner for ParallelNetlistFm {
 #[cfg(test)]
 mod tests {
     use super::super::testutil::two_clusters;
-    use super::super::weight_balanced_random;
     use super::*;
     use bisect_graph::hypergraph::NetlistBuilder;
     use rand::rngs::StdRng;
@@ -498,7 +497,7 @@ mod tests {
         let nl = b.build();
         let pfm = ParallelNetlistFm::new().with_threads(2);
         let mut rng = StdRng::seed_from_u64(5);
-        let init = weight_balanced_random(&nl, &mut rng);
+        let init = NetlistBisection::weight_balanced_random(&nl, &mut rng);
         let balanced_before = init.is_balanced(&nl);
         let (p, _) = refine(&pfm, &nl, init);
         if balanced_before {

@@ -518,7 +518,36 @@ impl Moves for GraphMoves<'_> {
 }
 
 #[cfg(test)]
+pub(crate) mod testutil {
+    use bisect_graph::{Graph, GraphBuilder};
+
+    /// A weighted coarse graph: a random graph on `n` vertices with
+    /// edge weights in `1..=3`, contracted through `levels` random
+    /// maximal matchings.
+    pub(crate) fn weighted_coarse_graph(n: usize, edges: usize, levels: usize, seed: u64) -> Graph {
+        use bisect_graph::{contraction, matching};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut b = GraphBuilder::new(n);
+        for _ in 0..edges {
+            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+            if u != v {
+                b.add_weighted_edge(u, v, rng.gen_range(1..=3u64)).unwrap();
+            }
+        }
+        let mut g = b.build();
+        for _ in 0..levels {
+            let m = matching::random_maximal(&g, &mut rng);
+            g = contraction::contract_matching(&g, &m).coarse().clone();
+        }
+        g
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::testutil::weighted_coarse_graph;
     use super::*;
     use bisect_graph::GraphBuilder;
 
@@ -754,29 +783,6 @@ mod tests {
             }
         }
         moves
-    }
-
-    /// A weighted coarse graph: a random graph on `n` vertices with
-    /// edge weights in `1..=3`, contracted through `levels` random
-    /// maximal matchings.
-    fn weighted_coarse_graph(n: usize, edges: usize, levels: usize, seed: u64) -> Graph {
-        use bisect_graph::{contraction, matching};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut b = GraphBuilder::new(n);
-        for _ in 0..edges {
-            let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
-            if u != v {
-                b.add_weighted_edge(u, v, rng.gen_range(1..=3u64)).unwrap();
-            }
-        }
-        let mut g = b.build();
-        for _ in 0..levels {
-            let m = matching::random_maximal(&g, &mut rng);
-            g = contraction::contract_matching(&g, &m).coarse().clone();
-        }
-        g
     }
 
     proptest::proptest! {

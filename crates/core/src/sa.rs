@@ -268,10 +268,10 @@ impl SimulatedAnnealing {
 }
 
 /// Draws the two vertices of a swap proposal: rejection-sample a cross
-/// pair (~2 tries in expectation near balance), falling back to
-/// explicit member lists for extremely unbalanced bisections. `None` if
-/// a side is empty. `members` is scratch for the fallback; its contents
-/// are irrelevant on entry.
+/// pair (~4 tries in expectation at balance, where P(a∈A, b∈B) = 1/4),
+/// falling back to explicit member lists for extremely unbalanced
+/// bisections. `None` if a side is empty. `members` is scratch for the
+/// fallback; its contents are irrelevant on entry.
 #[inline]
 fn draw_swap_pair<R: RngCore + ?Sized>(
     g: &Graph,

@@ -46,10 +46,6 @@ pub struct Workspace {
     pub(crate) fm_buckets: [GainBuckets; 2],
     /// Move sequence of the current FM pass.
     pub(crate) fm_moves: Vec<VertexId>,
-    /// Cumulative gains of the current FM pass.
-    pub(crate) fm_cumulative: Vec<i64>,
-    /// Balance flags after each FM move.
-    pub(crate) fm_balanced: Vec<bool>,
     /// FM's virtually-moved working bisection.
     pub(crate) fm_work: Option<Bisection>,
     /// Vertices whose bucket/locked state the current boundary-FM pass
