@@ -56,6 +56,15 @@ pub const ALL_IDS: &[&str] = &[
     "huge-netlist",
 ];
 
+/// Coarsest-level size of the huge ladders for an `n`-vertex (or
+/// `n`-cell) instance: small inputs still get a few coarsening levels
+/// (pure greedy refinement from a random start is much weaker than a
+/// V-cycle), huge ones stop at 5 000 where the serial coarsest-level
+/// refinement is cheap.
+pub(crate) fn coarse_target(n: usize) -> usize {
+    (n / 16).clamp(64, 5_000)
+}
+
 /// Whether `id` names a known experiment.
 pub fn is_known(id: &str) -> bool {
     ALL_IDS.contains(&id)

@@ -1,39 +1,81 @@
-//! Range-partitioned parallel cell matching for million-cell
-//! coarsening — the hypergraph counterpart of
-//! [`crate::pipeline::ParallelMatching`].
+//! Cell matchings: how one level of the netlist pipeline picks the
+//! cell pairs it contracts.
 //!
-//! Workers match cells within disjoint contiguous id ranges using the
-//! same hMETIS-style connectivity score as
-//! [`bisect_graph::hypergraph::random_cell_matching`] (`Σ
-//! w(net)/(|net|−1)` over shared nets, ties to the lowest cell id),
-//! then a serial sweep matches the leftover cells across range
-//! boundaries, so the result is maximal.
+//! A [`CellMatching`] returns the pairs of one level; the
+//! [engine](super::NetlistPipeline) contracts them and drives the
+//! matcher repeatedly according to the pipeline's
+//! [`CoarsenDepth`](crate::pipeline::CoarsenDepth). Both matchers score
+//! partners hMETIS-style (`Σ w(net)/(|net|−1)` over shared nets) and
+//! return maximal matchings among the cells they may match:
 //!
-//! Like the graph-side scheme this draws **no randomness** and is
-//! deterministic at a fixed thread count but not across thread counts
-//! (range boundaries move which partners a worker can see). It is
-//! intended for the huge-profile netlist pipeline, not the
-//! golden-pinned paper experiments — the serial
-//! `random_cell_matching` paths are untouched.
+//! * [`RandomCellMatching`] — random cell visiting order
+//!   ([`bisect_graph::hypergraph::random_cell_matching_with_skip`]);
+//!   the default, and the one the golden-pinned experiments use.
+//! * [`ParallelCellMatching`] — the hypergraph counterpart of
+//!   [`crate::pipeline::ParallelMatching`] for million-cell coarsening:
+//!   workers match cells within disjoint contiguous id ranges (ties to
+//!   the lowest cell id), then a serial sweep matches the leftover
+//!   cells across range boundaries. It draws **no randomness** and is
+//!   deterministic at a fixed thread count but not across thread counts
+//!   (range boundaries move which partners a worker can see).
 
 use std::collections::BTreeMap;
 
-use bisect_graph::hypergraph::Netlist;
+use bisect_graph::hypergraph::{random_cell_matching_with_skip, Netlist};
 use bisect_graph::VertexId;
+use rand::RngCore;
+
+/// One level of netlist coarsening: the cell pairs to contract.
+/// Implementations draw all randomness from the supplied rng (and
+/// nothing else), so a pipeline built from them inherits the crate-wide
+/// determinism guarantee: same netlist, same rng stream, same ladder.
+pub trait CellMatching: Send + Sync {
+    /// A matching of `nl`: disjoint pairs of distinct cells sharing a
+    /// net, maximal among the cells not flagged in `skip`. Flagged
+    /// cells (the engine's fixed cells) are never matched. An empty
+    /// `skip` skips nothing; missing entries count as `false`.
+    fn matching(
+        &self,
+        nl: &Netlist,
+        skip: &[bool],
+        rng: &mut dyn RngCore,
+    ) -> Vec<(VertexId, VertexId)>;
+}
+
+/// The serial random-order matcher of
+/// [`random_cell_matching_with_skip`] — the netlist pipeline's
+/// default.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RandomCellMatching;
+
+impl CellMatching for RandomCellMatching {
+    fn matching(
+        &self,
+        nl: &Netlist,
+        skip: &[bool],
+        rng: &mut dyn RngCore,
+    ) -> Vec<(VertexId, VertexId)> {
+        random_cell_matching_with_skip(nl, skip, rng)
+    }
+}
 
 /// Parallel maximal cell matching over contiguous cell ranges.
 ///
 /// # Example
 ///
 /// ```
-/// use bisect_core::netlist::ParallelCellMatching;
+/// use bisect_core::netlist::{CellMatching, ParallelCellMatching};
 /// use bisect_graph::hypergraph::{contract_cells, NetlistBuilder};
+/// use rand::SeedableRng;
 ///
 /// let mut b = NetlistBuilder::new(4);
 /// b.add_net(&[0, 1]).unwrap();
 /// b.add_net(&[2, 3]).unwrap();
 /// let nl = b.build();
-/// let pairs = ParallelCellMatching::new().with_threads(2).matching(&nl);
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
+/// let pairs = ParallelCellMatching::new()
+///     .with_threads(2)
+///     .matching(&nl, &[], &mut rng);
 /// let c = contract_cells(&nl, &pairs);
 /// assert_eq!(c.coarse().num_cells(), 2);
 /// ```
@@ -64,12 +106,18 @@ impl ParallelCellMatching {
     pub fn threads(&self) -> usize {
         self.threads.unwrap_or_else(bisect_par::num_threads)
     }
+}
 
-    /// Computes a maximal cell matching of `nl`; the pairs feed
-    /// [`bisect_graph::hypergraph::contract_cells`] (or its
-    /// scratch-reusing `contract_cells_into` variant) directly.
-    pub fn matching(&self, nl: &Netlist) -> Vec<(VertexId, VertexId)> {
-        range_cell_matching(nl, self.threads())
+impl CellMatching for ParallelCellMatching {
+    fn matching(
+        &self,
+        nl: &Netlist,
+        skip: &[bool],
+        rng: &mut dyn RngCore,
+    ) -> Vec<(VertexId, VertexId)> {
+        // Deterministic and rng-free: nothing to consume.
+        let _ = rng;
+        range_cell_matching(nl, skip, self.threads())
     }
 }
 
@@ -110,13 +158,15 @@ fn best_partner(
 /// The matching behind [`ParallelCellMatching`]: parallel in-range
 /// greedy phase (ascending cell order, both endpoints inside one range
 /// so disjoint ranges cannot conflict), then a serial ascending-order
-/// cleanup for cells whose only partners cross a range boundary.
-/// Maximal by construction.
-fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)> {
+/// cleanup for cells whose only partners cross a range boundary. Cells
+/// flagged in `skip` are neither visited nor offered as partners.
+/// Maximal among the unflagged cells by construction.
+fn range_cell_matching(nl: &Netlist, skip: &[bool], threads: usize) -> Vec<(VertexId, VertexId)> {
     let n = nl.num_cells();
     if n == 0 {
         return Vec::new();
     }
+    let skipped = |c: usize| skip.get(c).copied().unwrap_or(false);
     let t = threads.max(1).min(n);
     let chunk = n.div_ceil(t);
     let ranges = n.div_ceil(chunk);
@@ -127,7 +177,7 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
         let mut pairs = Vec::new();
         let mut score = BTreeMap::new();
         for c in lo..hi {
-            if matched[c - lo] {
+            if matched[c - lo] || skipped(c) {
                 continue;
             }
             let mate = best_partner(
@@ -135,7 +185,7 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
                 c as VertexId,
                 &|p| {
                     let pi = p as usize;
-                    pi >= lo && pi < hi && !matched[pi - lo]
+                    pi >= lo && pi < hi && !matched[pi - lo] && !skipped(pi)
                 },
                 &mut score,
             );
@@ -158,10 +208,15 @@ fn range_cell_matching(nl: &Netlist, threads: usize) -> Vec<(VertexId, VertexId)
     }
     let mut score = BTreeMap::new();
     for c in 0..n {
-        if taken[c] {
+        if taken[c] || skipped(c) {
             continue;
         }
-        let mate = best_partner(nl, c as VertexId, &|p| !taken[p as usize], &mut score);
+        let mate = best_partner(
+            nl,
+            c as VertexId,
+            &|p| !taken[p as usize] && !skipped(p as usize),
+            &mut score,
+        );
         if let Some(p) = mate {
             taken[c] = true;
             taken[p as usize] = true;
@@ -192,27 +247,39 @@ mod tests {
         b.build()
     }
 
-    /// Maximal: no two unmatched cells share a ≥ 2-pin net.
-    fn assert_maximal(nl: &Netlist, pairs: &[(VertexId, VertexId)]) {
+    fn pairs_of(m: &dyn CellMatching, nl: &Netlist, skip: &[bool]) -> Vec<(VertexId, VertexId)> {
+        m.matching(nl, skip, &mut StdRng::seed_from_u64(0))
+    }
+
+    /// A valid matching that matches no flagged cell and is maximal
+    /// among the rest: no two unmatched, unflagged cells share a net.
+    fn assert_maximal_skipping(nl: &Netlist, pairs: &[(VertexId, VertexId)], skip: &[bool]) {
+        let skipped = |c: VertexId| skip.get(c as usize).copied().unwrap_or(false);
         let mut matched = vec![false; nl.num_cells()];
         for &(a, b) in pairs {
             assert_ne!(a, b, "self-pair");
             assert!(!matched[a as usize] && !matched[b as usize], "overlap");
+            assert!(!skipped(a) && !skipped(b), "skipped cell in ({a}, {b})");
+            assert!(
+                nl.nets_of(a).iter().any(|n| nl.pins(*n).contains(&b)),
+                "({a}, {b}) share no net"
+            );
             matched[a as usize] = true;
             matched[b as usize] = true;
         }
         for n in nl.net_ids() {
-            let pins = nl.pins(n);
-            if pins.len() < 2 {
-                continue;
-            }
-            let free: Vec<VertexId> = pins
+            let free: Vec<VertexId> = nl
+                .pins(n)
                 .iter()
                 .copied()
-                .filter(|&p| !matched[p as usize])
+                .filter(|&p| !matched[p as usize] && !skipped(p))
                 .collect();
             assert!(free.len() <= 1, "net {n} still joins free cells {free:?}");
         }
+    }
+
+    fn assert_maximal(nl: &Netlist, pairs: &[(VertexId, VertexId)]) {
+        assert_maximal_skipping(nl, pairs, &[]);
     }
 
     #[test]
@@ -221,9 +288,9 @@ mod tests {
             let nl = random_netlist(40, 55, seed);
             for threads in [1usize, 2, 4] {
                 let m = ParallelCellMatching::new().with_threads(threads);
-                let pairs = m.matching(&nl);
+                let pairs = pairs_of(&m, &nl, &[]);
                 assert_maximal(&nl, &pairs);
-                assert_eq!(pairs, m.matching(&nl), "threads {threads}");
+                assert_eq!(pairs, pairs_of(&m, &nl, &[]), "threads {threads}");
             }
         }
     }
@@ -231,7 +298,7 @@ mod tests {
     #[test]
     fn matching_contracts_and_preserves_weight() {
         let nl = random_netlist(30, 40, 5);
-        let pairs = ParallelCellMatching::new().with_threads(4).matching(&nl);
+        let pairs = pairs_of(&ParallelCellMatching::new().with_threads(4), &nl, &[]);
         assert!(!pairs.is_empty());
         let c = contract_cells(&nl, &pairs);
         assert!(c.coarse().num_cells() < nl.num_cells());
@@ -243,22 +310,17 @@ mod tests {
         // One worker sees the whole netlist, so the serial cleanup has
         // nothing to do and the result is the plain ascending greedy.
         let nl = two_clusters();
-        let pairs = ParallelCellMatching::new().with_threads(1).matching(&nl);
+        let pairs = pairs_of(&ParallelCellMatching::new().with_threads(1), &nl, &[]);
         assert_maximal(&nl, &pairs);
     }
 
     #[test]
     fn handles_netless_and_empty_netlists() {
         let empty = NetlistBuilder::new(0).build();
-        assert!(ParallelCellMatching::new()
-            .with_threads(2)
-            .matching(&empty)
-            .is_empty());
+        let m = ParallelCellMatching::new().with_threads(2);
+        assert!(pairs_of(&m, &empty, &[]).is_empty());
         let netless = NetlistBuilder::new(5).build();
-        assert!(ParallelCellMatching::new()
-            .with_threads(2)
-            .matching(&netless)
-            .is_empty());
+        assert!(pairs_of(&m, &netless, &[]).is_empty());
     }
 
     #[test]
@@ -268,8 +330,26 @@ mod tests {
         b.add_net(&[1]).unwrap();
         b.add_net(&[2, 3]).unwrap();
         let nl = b.build();
-        let pairs = ParallelCellMatching::new().with_threads(2).matching(&nl);
+        let pairs = pairs_of(&ParallelCellMatching::new().with_threads(2), &nl, &[]);
         assert_eq!(pairs, vec![(2, 3)]);
+    }
+
+    #[test]
+    fn skipped_cells_are_never_matched() {
+        for seed in 0..12u64 {
+            let nl = random_netlist(48, 70, seed);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let skip: Vec<bool> = (0..nl.num_cells()).map(|_| rng.gen_bool(0.3)).collect();
+            for threads in [1usize, 2, 3, 4] {
+                let m = ParallelCellMatching::new().with_threads(threads);
+                let pairs = pairs_of(&m, &nl, &skip);
+                assert_maximal_skipping(&nl, &pairs, &skip);
+                // A shorter mask leaves the missing cells unflagged.
+                let short = &skip[..skip.len() / 2];
+                assert_maximal_skipping(&nl, &pairs_of(&m, &nl, short), short);
+            }
+            assert_maximal_skipping(&nl, &pairs_of(&RandomCellMatching, &nl, &skip), &skip);
+        }
     }
 
     #[test]

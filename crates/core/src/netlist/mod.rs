@@ -43,7 +43,7 @@ mod kway;
 mod par_fm;
 mod pipeline;
 
-pub use coarsen::ParallelCellMatching;
+pub use coarsen::{CellMatching, ParallelCellMatching, RandomCellMatching};
 pub use fm::{CompactedNetlistFm, MultilevelNetlistFm, NetlistFm};
 pub use gain_cache::NetlistGainCache;
 pub use kway::{

@@ -90,6 +90,8 @@ pub struct Pipeline {
     depth: CoarsenDepth,
     initial: Arc<dyn InitialPartitioner>,
     refiner: Arc<dyn Refiner + Send + Sync>,
+    /// Refiner of the coarsest graph; `None` uses `refiner` there too.
+    coarsest_refiner: Option<Arc<dyn Refiner + Send + Sync>>,
     name: String,
 }
 
@@ -101,6 +103,10 @@ impl std::fmt::Debug for Pipeline {
             .field("depth", &self.depth)
             .field("initial", &self.initial.name())
             .field("refiner", &self.refiner.name())
+            .field(
+                "coarsest_refiner",
+                &self.coarsest_refiner.as_ref().map(|r| r.name()),
+            )
             .finish()
     }
 }
@@ -139,6 +145,7 @@ impl Pipeline {
             depth: CoarsenDepth::Levels(1),
             initial: Arc::new(WeightBalancedInit),
             refiner: Arc::new(refiner),
+            coarsest_refiner: None,
             name,
         }
     }
@@ -167,6 +174,7 @@ impl Pipeline {
             depth,
             initial: Arc::new(WeightBalancedInit),
             refiner: Arc::new(refiner),
+            coarsest_refiner: None,
             name,
         })
     }
@@ -182,6 +190,7 @@ impl Pipeline {
             depth: CoarsenDepth::Flat,
             initial: Arc::new(RandomInit),
             refiner: Arc::new(refiner),
+            coarsest_refiner: None,
             name,
         }
     }
@@ -209,6 +218,20 @@ impl Pipeline {
         Ok(self)
     }
 
+    /// Refines the coarsest graph with `refiner` — and every level
+    /// above it with the pipeline's own refiner, which alone decides
+    /// the projected-cache protocol. Large-instance ladders use this to
+    /// run a hill-crossing serial refiner where the graph is small and
+    /// the basin is chosen, and a parallel one above it. Unset, the
+    /// pipeline's refiner runs at every level.
+    pub fn with_coarsest_refiner<R: Refiner + Send + Sync + 'static>(
+        mut self,
+        refiner: R,
+    ) -> Pipeline {
+        self.coarsest_refiner = Some(Arc::new(refiner));
+        self
+    }
+
     /// Overrides the display name used in experiment tables.
     pub fn named(mut self, name: impl Into<String>) -> Pipeline {
         self.name = name.into();
@@ -227,13 +250,18 @@ impl Pipeline {
             CoarsenDepth::Flat => "flat".to_string(),
             CoarsenDepth::Levels(k) => format!("levels({k})"),
             CoarsenDepth::ToSize(s) => format!("to-size({s})"),
+            CoarsenDepth::ToSizeOrStall(s) => format!("to-size-or-stall({s})"),
+        };
+        let refiner = match &self.coarsest_refiner {
+            Some(coarsest) => format!("{} (coarsest: {})", self.refiner.name(), coarsest.name()),
+            None => self.refiner.name(),
         };
         format!(
             "{} → {} → {} → {}",
             self.coarsener.name(),
             depth,
             self.initial.name(),
-            self.refiner.name()
+            refiner
         )
     }
 
@@ -251,15 +279,7 @@ impl Pipeline {
         rng: &mut dyn RngCore,
         ws: &mut Workspace,
     ) -> Result<(Bisection, u64), BisectError> {
-        engine::run(
-            self.coarsener.as_ref(),
-            self.depth,
-            self.initial.as_ref(),
-            self.refiner.as_ref(),
-            g,
-            rng,
-            ws,
-        )
+        engine::run(self, g, rng, ws)
     }
 
     /// As [`Bisector::bisect`], surfacing stage errors instead of
@@ -450,6 +470,17 @@ mod tests {
         assert!(d.contains("levels(1)"), "{d}");
         assert!(d.contains("weight-balanced"), "{d}");
         assert!(d.contains("KL"), "{d}");
+    }
+
+    #[test]
+    fn describe_names_the_coarsest_refiner() {
+        let d = Pipeline::multilevel(KernighanLin::new())
+            .with_depth(CoarsenDepth::ToSizeOrStall(64))
+            .unwrap()
+            .with_coarsest_refiner(FiducciaMattheyses::new())
+            .describe();
+        assert!(d.contains("to-size-or-stall(64)"), "{d}");
+        assert!(d.contains("KL (coarsest: FM)"), "{d}");
     }
 
     #[test]

@@ -92,36 +92,26 @@ impl Workspace {
     }
 
     /// (Re)initializes the workspace gain cache for `(g, p)` in
-    /// O(V + E). Drivers that manage a refinement ladder by hand (the
-    /// `huge` experiment) call this once at the coarsest level, then
-    /// keep the cache current with [`Workspace::project_gain_cache`]
-    /// and the refiners' projected-cache entry points instead of
-    /// rebuilding per level.
+    /// O(V + E) — the entry state of the projected-cache protocol (see
+    /// [`crate::bisector::Refiner::refine_projected_counted`]), which
+    /// the V-cycle engine otherwise establishes itself at the coarsest
+    /// level. Tests and benchmarks call this before driving a refiner's
+    /// projected-cache entry point directly.
     pub fn prepare_gain_cache(&mut self, g: &Graph, p: &Bisection) {
         self.gain_cache.init(g, p);
     }
 
-    /// Projects the workspace gain cache through one uncoarsening step;
-    /// see [`GainCache::project`] for the contract.
-    pub fn project_gain_cache(&mut self, g: &Graph, p: &Bisection, fine_to_coarse: &[VertexId]) {
-        self.gain_cache.project(g, p, fine_to_coarse);
-    }
-
     /// Read access to the workspace gain cache, valid after
-    /// [`Workspace::prepare_gain_cache`] /
-    /// [`Workspace::project_gain_cache`] or a refiner's projected-cache
-    /// run (which leave it exact for the partition they returned).
+    /// [`Workspace::prepare_gain_cache`] or a refiner's projected-cache
+    /// run (which leaves it exact for the partition it returned).
     pub fn gain_cache(&self) -> &GainCache {
         &self.gain_cache
     }
 
     /// (Re)initializes the workspace *netlist* gain cache for
     /// `(nl, p)` in O(cells + pins) — the hypergraph analogue of
-    /// [`Workspace::prepare_gain_cache`], used by drivers that manage a
-    /// netlist refinement ladder by hand (the `huge-netlist`
-    /// experiment): call once at the coarsest level, then keep the
-    /// cache current with [`Workspace::project_netlist_cache`] and the
-    /// refiners' projected-cache entry points.
+    /// [`Workspace::prepare_gain_cache`], for driving a netlist
+    /// refiner's projected-cache entry point directly.
     pub fn prepare_netlist_cache(
         &mut self,
         nl: &bisect_graph::hypergraph::Netlist,
@@ -130,22 +120,9 @@ impl Workspace {
         self.netlist_cache.init(nl, p);
     }
 
-    /// Projects the workspace netlist gain cache through one
-    /// uncoarsening step; see [`NetlistGainCache::project`] for the
-    /// contract.
-    pub fn project_netlist_cache(
-        &mut self,
-        nl: &bisect_graph::hypergraph::Netlist,
-        p: &NetlistBisection,
-        fine_to_coarse: &[VertexId],
-    ) {
-        self.netlist_cache.project(nl, p, fine_to_coarse);
-    }
-
     /// Read access to the workspace netlist gain cache, valid after
-    /// [`Workspace::prepare_netlist_cache`] /
-    /// [`Workspace::project_netlist_cache`] or a netlist refiner's
-    /// projected-cache run (which leave it exact for the bisection they
+    /// [`Workspace::prepare_netlist_cache`] or a netlist refiner's
+    /// projected-cache run (which leaves it exact for the bisection it
     /// returned).
     pub fn netlist_cache(&self) -> &NetlistGainCache {
         &self.netlist_cache

@@ -4,7 +4,8 @@
 //! `ParallelNetlistFm` with net-cut cross-checks.
 
 use bisect_core::netlist::{
-    NetlistBisection, NetlistGainCache, NetlistRefiner, ParallelCellMatching, ParallelNetlistFm,
+    CellMatching, NetlistBisection, NetlistGainCache, NetlistRefiner, ParallelCellMatching,
+    ParallelNetlistFm,
 };
 use bisect_core::workspace::Workspace;
 use bisect_graph::hypergraph::{contract_cells, random_cell_matching, Netlist, NetlistBuilder};
@@ -144,8 +145,9 @@ proptest! {
     ) {
         let nl = random_netlist(cells, nets, netlist_seed);
         let matcher = ParallelCellMatching::new().with_threads(threads);
-        let pairs = matcher.matching(&nl);
-        prop_assert_eq!(&pairs, &matcher.matching(&nl));
+        let mut rng = StdRng::seed_from_u64(0);
+        let pairs = matcher.matching(&nl, &[], &mut rng);
+        prop_assert_eq!(&pairs, &matcher.matching(&nl, &[], &mut rng));
         prop_assume!(!pairs.is_empty());
         let c = contract_cells(&nl, &pairs);
         prop_assert_eq!(
