@@ -9,11 +9,20 @@
 //! (`O(V + E)` per pass); `BoundaryFm` seeds only from the incrementally
 //! tracked cut boundary (`O(boundary · deg)`).
 //!
-//! * `fm-repass/*` — re-refinement on `Gnp` across average degree 2–8.
-//!   `Gnp`'s best cut is a constant *fraction* of the edges, so the
-//!   boundary stays a constant fraction of `V` and the two refiners
-//!   land within noise of each other (boundary pays its cache upkeep,
-//!   saves little seeding).
+//! * `fm-repass/*` — re-refinement on `Gnp(2000)` across average degree
+//!   2–8. Here the boundary refiner is *slower*: on a 2-vCPU VM,
+//!   `boundary` took 1.50 / 2.04 / 3.05 ms against 1.25 / 1.84 /
+//!   0.99 ms for `full-scan` at degree 2 / 4 / 8. `Gnp`'s best cut is a
+//!   constant *fraction* of the edges, so the boundary stays a constant
+//!   fraction of `V` and seeding from it saves little while the cache
+//!   upkeep costs. At degree 8 the gap is the pass count: both enter
+//!   through [`Refiner::refine_counted`], whose passes are unbounded
+//!   (each moves every reachable vertex before rewinding to its best
+//!   prefix), and from this start `BoundaryFm` keeps finding improving
+//!   passes — 6, ending at cut 2 037 — where the full scan stops after
+//!   one at 2 049. Entered as an uncoarsening level enters
+//!   ([`Refiner::refine_projected_counted`], bounded passes), the same
+//!   start takes one pass and 0.47 ms.
 //! * `fm-repass-planted/*` — re-refinement on `Gbreg` with a small
 //!   planted cut: the boundary is tiny, and seeding from it is the
 //!   measurable win. The full multilevel payoff (projection replacing
